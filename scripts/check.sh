@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: lint + typecheck + tier-1 tests.
+# Repo-wide gate: lint + typecheck + tier-1 tests + benchmark self-tests.
 #
 # ruff and mypy are optional in minimal environments (no network, no
 # installs); when a tool is absent we say so and skip that leg rather
@@ -33,6 +33,12 @@ python -m repro.lint || failed=1
 
 echo "== pytest (tier 1) =="
 python -m pytest -x -q tests/ || failed=1
+
+echo "== perfbench self-tests =="
+# The benchmark's own tests run every workload's correctness checks
+# against the program in src/, so a change that breaks a workload's
+# outputs fails here rather than only when the benchmark is run.
+python -m pytest -q perfbench || failed=1
 
 echo "== chaos smoke =="
 python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 --seeds 3 \

@@ -79,6 +79,7 @@ from typing import Optional, Sequence
 from repro.analysis import INJECTIONS, analyze, inject
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import render, server_for
+from repro.faults.plan import check_intensity
 from repro.models.zoo import available_models
 
 EXPERIMENTS = {
@@ -99,6 +100,27 @@ EXPERIMENTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _intensity(text: str) -> float:
+    """argparse type: a chaos intensity, a finite float >= 0."""
+    try:
+        value = float(text)
+        check_intensity(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Harmony (VLDB 2022) reproduction CLI"
@@ -107,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_model_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("model", choices=available_models())
-        p.add_argument("--minibatch", type=int, default=32)
+        p.add_argument("--minibatch", type=_positive_int, default=32)
         p.add_argument("--mode", choices=("dp", "pp"), default="pp")
         p.add_argument("--gpus", type=int, default=4, choices=(1, 2, 4, 8))
 
@@ -196,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--chaos-seed", type=int, default=None,
                        help="additionally inject chaos faults from this "
                             "seed, so the trace shows faults and recovery")
-    trace.add_argument("--intensity", type=float, default=1.0,
+    trace.add_argument("--intensity", type=_intensity, default=1.0,
                        help="chaos intensity when --chaos-seed is given")
 
     chaos = sub.add_parser(
@@ -207,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of fault seeds to sweep (default 5)")
     chaos.add_argument("--seed-base", type=int, default=0,
                        help="first fault seed of the sweep")
-    chaos.add_argument("--intensity", type=float, default=1.0,
+    chaos.add_argument("--intensity", type=_intensity, default=1.0,
                        help="chaos intensity multiplier (default 1.0)")
     chaos.add_argument("--iterations", type=int, default=2,
                        help="iterations per run (default 2, so iteration-"
@@ -262,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--suite", choices=sorted(SUITES), default="smoke",
                        help="benchmark suite (default smoke)")
-    bench.add_argument("--repeats", type=int, default=3,
+    bench.add_argument("--repeats", type=_positive_int, default=3,
                        help="repeats per case; the minimum is reported "
                             "(default 3)")
     bench.add_argument("--workers", type=int, default=1,
@@ -308,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos", action="store_true",
                        help="inject service-level chaos (slow planners, "
                             "planner crashes, poisoned requests)")
-    serve.add_argument("--intensity", type=float, default=1.0,
+    serve.add_argument("--intensity", type=_intensity, default=1.0,
                        help="chaos intensity when --chaos is given "
                             "(default 1.0)")
     serve.add_argument("--check-determinism", action="store_true",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 from repro.common.rng import unit
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec, check_intensity
 
 
 class ClusterFaultKind(enum.Enum):
@@ -114,8 +114,7 @@ class ClusterFaultSpec:
         making completion unlikely.  The inner per-server mix runs at
         half intensity so cluster-level faults dominate the storm.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        check_intensity(intensity)
         clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
         return cls(
             server_crash_rate=clamp(0.25),

@@ -15,7 +15,7 @@ real kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import GraphError
 from repro.common.rng import spread
@@ -81,10 +81,31 @@ class DecomposedModel:
     model: ModelSpec
     graph: LayerGraph          # guaranteed sequential
     units: tuple[LayerUnit, ...]
+    #: True per-layer kernel times, one row per ``(gpu, phase, u)``,
+    #: filled lazily by :meth:`true_times`; neither compared nor hashed.
+    _true_times: dict[tuple[GpuSpec, Phase, int], tuple[float, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_layers(self) -> int:
         return len(self.graph)
+
+    def true_times(self, gpu: GpuSpec, phase: Phase, u: int) -> tuple[float, ...]:
+        """Every unit's ``run_time(gpu, phase, u)``, computed once.
+
+        The Profiler times the units through this table and the Runtime
+        executes from it, so the kernel noise of a plan is drawn once
+        for the plan's lifetime instead of once per simulated kernel.
+        Each entry is the exact float ``LayerUnit.run_time`` returns.
+        """
+        key = (gpu, phase, u)
+        row = self._true_times.get(key)
+        if row is None:
+            row = self._true_times[key] = tuple(
+                unit.run_time(gpu, phase, u) for unit in self.units
+            )
+        return row
 
 
 class Decomposer:

@@ -299,24 +299,32 @@ class Profiler:
             raise SchedulingError("profiler sample sizes must be positive")
         self.gpu = gpu
         self.sample_sizes = tuple(sorted(set(sample_sizes)))
+        self._use_table = perf_enabled()
+
+    def _samples(
+        self, decomposed: DecomposedModel, phase: Phase, u: int
+    ) -> Sequence[float]:
+        """Every unit's measured time at one sample point."""
+        if self._use_table:
+            return decomposed.true_times(self.gpu, phase, u)
+        return [unit.run_time(self.gpu, phase, u) for unit in decomposed.units]
 
     def profile(self, decomposed: DecomposedModel) -> ModelProfiles:
+        xs = list(self.sample_sizes)
+        fwd = [self._samples(decomposed, Phase.FWD, u) for u in xs]
+        bwd = [self._samples(decomposed, Phase.BWD, u) for u in xs]
+        upd = self._samples(decomposed, Phase.UPD, 1)
         profiles = []
-        for unit in decomposed.units:
-            xs = list(self.sample_sizes)
+        for i, unit in enumerate(decomposed.units):
             spec = unit.spec
             profiles.append(
                 LayerProfile(
                     index=spec.index,
                     name=spec.name,
                     param_bytes=spec.param_bytes,
-                    time_fwd=AffineFit.fit(
-                        xs, [unit.run_time(self.gpu, Phase.FWD, u) for u in xs]
-                    ),
-                    time_bwd=AffineFit.fit(
-                        xs, [unit.run_time(self.gpu, Phase.BWD, u) for u in xs]
-                    ),
-                    time_upd=unit.run_time(self.gpu, Phase.UPD, 1),
+                    time_fwd=AffineFit.fit(xs, [row[i] for row in fwd]),
+                    time_bwd=AffineFit.fit(xs, [row[i] for row in bwd]),
+                    time_upd=upd[i],
                     mem_fwd=AffineFit.fit(
                         xs, [unit.memory_bytes(Phase.FWD, u) for u in xs]
                     ),

@@ -30,6 +30,7 @@ The fault taxonomy (DESIGN.md section 8):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -55,6 +56,15 @@ _RATES = (
     "host_pressure_rate",
     "gpu_loss_rate",
 )
+
+
+def check_intensity(intensity: float) -> None:
+    """Reject a chaos intensity that is negative or not finite (a NaN
+    would pass every ``< 0`` test and silently scale rates to NaN)."""
+    if not math.isfinite(intensity) or intensity < 0:
+        raise ValueError(
+            f"intensity must be a finite number >= 0, got {intensity}"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,8 +139,7 @@ class FaultSpec:
         fifth seed, and occasional task crashes -- enough to exercise
         every recovery path without making completion unlikely.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        check_intensity(intensity)
         clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
         return cls(
             transfer_fault_rate=clamp(0.02),

@@ -290,6 +290,8 @@ def run_bench(suite: str = "smoke", repeats: int = 3,
               search_workers: int = 1,
               cases: Optional[Sequence[BenchCase]] = None) -> dict[str, Any]:
     """Run a suite and return the schema-valid report dict."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     picked = tuple(cases) if cases is not None else SUITES[suite]
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

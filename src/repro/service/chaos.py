@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.common.rng import unit
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultSpec, check_intensity
 
 _RATES = ("slow_rate", "crash_rate", "poison_rate")
 
@@ -71,8 +71,7 @@ class ServiceChaosSpec:
     def chaos(cls, intensity: float = 1.0) -> "ServiceChaosSpec":
         """The standard service chaos mix, scaled like
         :meth:`repro.faults.plan.FaultSpec.chaos`."""
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        check_intensity(intensity)
         clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
         return cls(
             slow_rate=clamp(0.15),

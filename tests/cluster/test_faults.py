@@ -49,6 +49,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ClusterFaultSpec.cluster_chaos(-1)
 
+    @pytest.mark.parametrize("intensity", [float("nan"), float("inf")])
+    def test_chaos_non_finite_intensity_rejected(self, intensity):
+        with pytest.raises(ValueError, match="finite"):
+            ClusterFaultSpec.cluster_chaos(intensity)
+
 
 class TestSeededDeterminism:
     def test_same_seed_same_decisions(self):

@@ -1,5 +1,7 @@
 """Tests for the Decomposer (graph creation + per-layer code)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import GraphError
@@ -47,6 +49,19 @@ class TestDecompose:
                     continue
                 deviation = abs(measured / exact - 1.0)
                 assert deviation <= KERNEL_NOISE + SHAPE_JITTER + 1e-9
+
+    def test_true_times_table_is_the_unit_run_times(self, toy_model,
+                                                    small_gpu):
+        decomposed = Decomposer(seed=2).decompose(toy_model)
+        twin = Decomposer(seed=2).decompose(toy_model)
+        row = decomposed.true_times(small_gpu, Phase.BWD, 3)
+        assert row == tuple(unit.run_time(small_gpu, Phase.BWD, 3)
+                            for unit in decomposed.units)
+        assert decomposed.true_times(small_gpu, Phase.BWD, 3) is row
+        faster = replace(small_gpu, peak_flops=2 * small_gpu.peak_flops)
+        assert decomposed.true_times(faster, Phase.BWD, 3) != row
+        # The lazily filled table does not take part in equality.
+        assert decomposed == twin
 
     def test_memory_bytes_by_phase(self, toy_decomposed):
         unit = toy_decomposed.units[2]

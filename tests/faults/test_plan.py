@@ -46,6 +46,12 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec.chaos(-1.0)
 
+    @pytest.mark.parametrize("intensity", [float("nan"), float("inf"),
+                                           float("-inf")])
+    def test_chaos_non_finite_intensity_rejected(self, intensity):
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec.chaos(intensity)
+
     def test_describe_mentions_nondefault_fields(self):
         assert "transfer_fault_rate" in FaultSpec.chaos().describe()
         assert FaultSpec().describe() == "FaultSpec(off)"

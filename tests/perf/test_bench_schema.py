@@ -39,6 +39,12 @@ def report():
     return run_bench("smoke", repeats=1, cases=[case])
 
 
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_run_bench_rejects_non_positive_repeats(repeats):
+    with pytest.raises(ValueError, match="repeats"):
+        run_bench("smoke", repeats=repeats)
+
+
 def test_checked_in_schema_export_matches_source():
     assert _EXPORT.is_file(), (
         "scripts/bench_schema.json missing; regenerate with "

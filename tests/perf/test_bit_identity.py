@@ -13,10 +13,15 @@ the environment variable and building a fresh ``Harmony`` per arm is
 sufficient -- no subprocess needed.
 """
 
+import json
+from dataclasses import asdict
+
 import pytest
 
+from repro.common.errors import FaultError
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
+from repro.faults import FaultPlan, FaultSpec
 from repro.perf import DISABLE_ENV
 from repro.trace import TraceRecorder
 
@@ -71,6 +76,37 @@ def test_caches_are_bit_identical_to_disabled(model, mode, monkeypatch):
             f"{model}/{mode}: {field} diverged between cached and "
             f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
         )
+
+
+def _chaos_fingerprint(monkeypatch, disable, seed):
+    """One seeded ``FaultSpec.chaos(1.0)`` run: its metrics as exact text,
+    or the typed fault it ended in."""
+    if disable:
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    else:
+        monkeypatch.delenv(DISABLE_ENV, raising=False)
+    harmony = Harmony(
+        "toy-transformer", server_for(GPUS), MINIBATCH,
+        options=HarmonyOptions(mode="pp", search_workers=1),
+    )
+    plan = harmony.plan()
+    try:
+        report = harmony.run(
+            plan=plan, iterations=2,
+            fault_plan=FaultPlan(FaultSpec.chaos(1.0), seed=seed),
+        )
+    except FaultError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(asdict(report.metrics), sort_keys=True, default=repr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chaos_run_is_bit_identical_to_disabled(seed, monkeypatch):
+    """Retries, crashes and slowdowns re-time tasks through the same
+    true-time tables; the chaos metrics must not move a bit either."""
+    fast = _chaos_fingerprint(monkeypatch, disable=False, seed=seed)
+    slow = _chaos_fingerprint(monkeypatch, disable=True, seed=seed)
+    assert fast == slow
 
 
 def test_parallel_search_is_bit_identical_to_serial(monkeypatch):

@@ -2,7 +2,13 @@
 
 import pytest
 
+import repro.core.decomposer as decomposer
+from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.profiler import DEFAULT_SAMPLE_SIZES
 from repro.core.types import Task, TaskKind
+from repro.experiments.common import server_for
+from repro.graph.layer import Phase
+from repro.perf import DISABLE_ENV
 from repro.runtime.timemodel import TrueTimeModel
 
 
@@ -64,3 +70,89 @@ class TestTaskTotal:
         total = time_model.task_compute_time(task)
         per_mb = time_model.microbatch_time(task, 2)
         assert total == pytest.approx(2 * per_mb)
+
+
+def _planned(model):
+    harmony = Harmony(model, server_for(4), 32,
+                      options=HarmonyOptions(mode="pp", search_workers=1))
+    return harmony, harmony.plan()
+
+
+def _time_model(harmony, plan):
+    server = harmony.server
+    return TrueTimeModel(plan.decomposed, server.gpu, server.host,
+                         n_gpus=server.n_gpus)
+
+
+def _naive_pack(plan, gpu, task, phase, u):
+    return sum(plan.decomposed.units[i].run_time(gpu, phase, u)
+               for i in task.layers)
+
+
+class TestTrueTimeTable:
+    """The table-backed model is bit-identical to the naive per-kernel
+    ``run_time`` sums it replaces, and draws no kernel noise once the
+    plan has been profiled and run."""
+
+    @pytest.mark.parametrize("model", ["resnet1k", "gpt2"])
+    def test_every_task_matches_the_naive_sums(self, model, monkeypatch):
+        harmony, plan = _planned(model)
+        fast = _time_model(harmony, plan)
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        slow = _time_model(harmony, plan)
+        gpu = harmony.server.gpu
+        for task in plan.graph.tasks:
+            if task.kind is TaskKind.UPD:
+                if not task.on_cpu:
+                    naive = _naive_pack(plan, gpu, task, Phase.UPD, 1)
+                    assert fast.update_time(task).hex() == naive.hex()
+                assert fast.update_time(task).hex() == (
+                    slow.update_time(task).hex())
+                continue
+            # Beyond the planned sizes, ragged ones (a remainder
+            # microbatch) share the pack but not the memo entry.
+            for u in (*task.microbatches, 1, 3):
+                want = slow.microbatch_time(task, u).hex()
+                # Twice: the first call fills the pack memo, later ones
+                # are served from it.
+                assert fast.microbatch_time(task, u).hex() == want
+                assert fast.microbatch_time(task, u).hex() == want
+                if task.kind is TaskKind.FWD:
+                    naive = _naive_pack(plan, gpu, task, Phase.FWD, u)
+                    assert fast.microbatch_time(task, u).hex() == naive.hex()
+            assert fast.task_compute_time(task).hex() == (
+                slow.task_compute_time(task).hex())
+
+    def test_noise_drawn_once_per_plan(self, monkeypatch):
+        draws = []
+        noise = decomposer._noise
+
+        def counted(*args):
+            draws.append(args)
+            return noise(*args)
+
+        monkeypatch.setattr(decomposer, "_noise", counted)
+        harmony = Harmony("toy-transformer", server_for(2), 8,
+                          options=HarmonyOptions(mode="pp", search_workers=1))
+        plan = harmony.plan()
+        n_layers = plan.decomposed.n_layers
+        assert len(draws) == n_layers * (2 * len(DEFAULT_SAMPLE_SIZES) + 1)
+        harmony.run(plan=plan, iterations=2)
+        draws.clear()
+        harmony.run(plan=plan, iterations=2)
+        assert draws == []
+
+    def test_disabled_model_draws_per_kernel(self, toy_decomposed,
+                                             small_server, monkeypatch):
+        """The ``REPRO_PERF_DISABLE=1`` oracle really is the naive path."""
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        model = TrueTimeModel(toy_decomposed, small_server.gpu,
+                              small_server.host, n_gpus=small_server.n_gpus)
+        draws = []
+        noise = decomposer._noise
+        monkeypatch.setattr(decomposer, "_noise",
+                            lambda *a: draws.append(a) or noise(*a))
+        task = make_task(TaskKind.FWD)
+        model.microbatch_time(task, 2)
+        model.microbatch_time(task, 2)
+        assert len(draws) == 2 * task.n_layers

@@ -58,6 +58,9 @@ class TestChaosSpec:
             ServiceChaosSpec(slow_factor=0.5)
         with pytest.raises(ValueError):
             ServiceChaosSpec.chaos(-1.0)
+        for intensity in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ServiceChaosSpec.chaos(intensity)
 
     def test_none_disables_everything(self):
         spec = ServiceChaosSpec.none()

@@ -36,6 +36,33 @@ class TestCli:
         assert {"fig09", "fig13", "fig15", "tab01", "tab04"} <= set(EXPERIMENTS)
 
 
+class TestUsageErrors:
+    """Bad numeric inputs are argparse usage errors (exit 2), never a
+    traceback from deep inside the planner or a silently-NaN run."""
+
+    @pytest.mark.parametrize("argv", [
+        *([cmd, "gpt2", "--minibatch", bad]
+          for cmd in ("plan", "run", "check", "bind", "trace", "chaos")
+          for bad in ("0", "-4")),
+        ["run", "gpt2", "--minibatch", "two"],
+        ["chaos", "gpt2", "--intensity", "-1"],
+        *(["chaos", "toy-transformer", "--intensity", bad]
+          for bad in ("nan", "inf", "-inf")),
+        ["trace", "toy-transformer", "--intensity", "nan"],
+        ["serve", "--intensity", "nan"],
+        ["serve", "--intensity", "-0.5"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--repeats", "-1"],
+    ], ids="_".join)
+    def test_rejected_at_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err
+        assert "Traceback" not in err
+
+
 class TestClusterChaosCli:
     def test_scripted_server_loss_sweep(self, capsys, tmp_path):
         out = tmp_path / "cluster-chaos.json"
