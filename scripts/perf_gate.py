@@ -21,12 +21,14 @@ cancel is a real hot-path regression: the case timing grows, the
 calibration does not.
 
 Gated metrics: ``search_seconds``, ``plan_seconds``, ``run_seconds``
+per case, and ``serve_seconds`` of the ``service`` and ``fleet`` storms
 (tracing overhead is reported but informational -- it is a difference
 of two small numbers and too noisy to gate).  Timings under the noise
 floor (50 ms raw) are never gated.  The gate also refuses to compare
-reports whose planner facts disagree (different ``n_feasible`` or
-``n_tasks`` means the two reports did not measure the same work -- that
-is a correctness alarm, not a perf number).
+reports whose facts disagree: different planner facts (``n_feasible``,
+``n_tasks``) or storm facts (``requests``, ``seed``, and for the fleet
+``placements``, ``certified``) mean the two reports did not measure the
+same work -- that is a correctness alarm, not a perf number.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ GATED_METRICS = ("search_seconds", "plan_seconds", "run_seconds")
 
 #: Planner facts that must match exactly for a comparison to be valid.
 FACT_METRICS = ("n_feasible", "n_tasks")
+
+#: Storm sections whose ``serve_seconds`` is gated, with the storm facts
+#: that must match exactly for the comparison to be valid.
+STORM_FACTS = {
+    "service": ("requests", "seed"),
+    "fleet": ("requests", "seed", "placements", "certified"),
+}
 
 #: Raw timings below this are noise, never gated (seconds).
 NOISE_FLOOR = 0.05
@@ -85,23 +94,19 @@ def compare(baseline: dict[str, Any], current: dict[str, Any],
         return (f"{case['model']}|{case['mode']}|{case['gpus']}"
                 f"|{case['minibatch']}")
 
-    base_cases = {key(c): c for c in baseline["cases"]}
-    matched = 0
-    for case in current["cases"]:
-        base = base_cases.get(key(case))
-        if base is None:
-            continue  # new case: no baseline yet, nothing to gate
-        matched += 1
-        label = key(case)
-        for fact in FACT_METRICS:
-            if case[fact] != base[fact]:
-                failures.append(
-                    f"{label}: {fact} changed {base[fact]} -> {case[fact]} "
-                    f"(the reports did not measure the same work; "
-                    f"re-baseline deliberately)"
-                )
-        for metric in GATED_METRICS:
-            base_raw, cur_raw = base[metric], case[metric]
+    def gate(label: str, base: dict[str, Any], cur: dict[str, Any],
+             facts: Sequence[str], metrics: Sequence[str]) -> None:
+        changed = [fact for fact in facts if cur[fact] != base[fact]]
+        for fact in changed:
+            failures.append(
+                f"{label}: {fact} changed {base[fact]} -> {cur[fact]} "
+                f"(the reports did not measure the same work; "
+                f"re-baseline deliberately)"
+            )
+        if changed:
+            return
+        for metric in metrics:
+            base_raw, cur_raw = base[metric], cur[metric]
             if base_raw < NOISE_FLOOR and cur_raw < NOISE_FLOOR:
                 continue
             base_norm = base_raw / base_cal
@@ -113,6 +118,18 @@ def compare(baseline: dict[str, Any], current: dict[str, Any],
                     f"(normalized; raw {base_raw:.3f}s -> {cur_raw:.3f}s, "
                     f"> {tolerance:.0%} over baseline)"
                 )
+
+    base_cases = {key(c): c for c in baseline["cases"]}
+    matched = 0
+    for case in current["cases"]:
+        base = base_cases.get(key(case))
+        if base is None:
+            continue  # new case: no baseline yet, nothing to gate
+        matched += 1
+        gate(key(case), base, case, FACT_METRICS, GATED_METRICS)
+    for section, facts in STORM_FACTS.items():
+        gate(f"{section} storm", baseline[section], current[section],
+             facts, ("serve_seconds",))
     if matched == 0:
         failures.append(
             "no case in the current report matches the baseline; "
@@ -169,7 +186,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print(f"perf gate passed: {len(current['cases'])} case(s) within "
+    print(f"perf gate passed: {len(current['cases'])} case(s) and "
+          f"{len(STORM_FACTS)} storm(s) within "
           f"{args.tolerance:.0%} of baseline "
           f"(calibration {current['calibration_seconds'] * 1e3:.1f} ms vs "
           f"baseline {baseline['calibration_seconds'] * 1e3:.1f} ms)")

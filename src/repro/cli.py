@@ -73,8 +73,9 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis import INJECTIONS, analyze, inject
 from repro.core.harmony import Harmony, HarmonyOptions
@@ -100,14 +101,50 @@ EXPERIMENTS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a usage error otherwise)."""
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type factory: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+#: argparse types: an integer >= 1, and an integer >= 0
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    """argparse type: a float in [0, 1] (NaN is not in it)."""
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -186,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "scales (default: 1.0 each)")
     bind.add_argument("--run", action="store_true",
                       help="also execute the bound schedule")
-    bind.add_argument("--iterations", type=int, default=1,
+    bind.add_argument("--iterations", type=_positive_int, default=1,
                       help="iterations for --run (default 1)")
     bind.add_argument("--json", metavar="PATH", default=None,
                       help="write the binding, analyzer verdict and (with "
@@ -204,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execute with the trace recorder on and export the timeline",
     )
     add_model_args(trace)
-    trace.add_argument("--iterations", type=int, default=1,
+    trace.add_argument("--iterations", type=_positive_int, default=1,
                        help="iterations to record (default 1)")
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="write Chrome/Perfetto trace_event JSON here "
@@ -231,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="first fault seed of the sweep")
     chaos.add_argument("--intensity", type=_intensity, default=1.0,
                        help="chaos intensity multiplier (default 1.0)")
-    chaos.add_argument("--iterations", type=int, default=2,
+    chaos.add_argument("--iterations", type=_positive_int, default=2,
                        help="iterations per run (default 2, so iteration-"
                             "boundary recovery gets exercised)")
     chaos.add_argument("--transfer-rate", type=float, default=None,
@@ -297,35 +334,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="drive a seeded request storm through the planning service",
     )
-    serve.add_argument("--requests", type=int, default=200,
+    serve.add_argument("--requests", type=_positive_int, default=200,
                        help="storm size (default 200)")
     serve.add_argument("--seed", type=int, default=0,
                        help="workload + chaos + jitter seed (default 0)")
-    serve.add_argument("--duration", type=float, default=120.0,
+    serve.add_argument("--duration", type=_positive_float, default=120.0,
                        help="virtual seconds the arrivals span "
                             "(default 120)")
-    serve.add_argument("--tenants", type=int, default=4,
+    serve.add_argument("--tenants", type=_positive_int, default=4,
                        help="distinct tenants in the storm (default 4)")
-    serve.add_argument("--deadline", type=float, default=45.0,
+    serve.add_argument("--deadline", type=_positive_float, default=45.0,
                        help="per-request deadline budget in virtual "
                             "seconds (default 45)")
-    serve.add_argument("--execute-fraction", type=float, default=0.0,
+    serve.add_argument("--execute-fraction", type=_unit_float, default=0.0,
                        help="fraction of requests that also run one "
                             "simulated iteration (default 0)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_positive_int, default=2,
                        help="service worker processes (default 2)")
-    serve.add_argument("--queue-limit", type=int, default=16,
+    serve.add_argument("--queue-limit", type=_positive_int, default=16,
                        help="admission queue bound (default 16)")
-    serve.add_argument("--quota", type=int, default=8,
+    serve.add_argument("--quota", type=_non_negative_int, default=8,
                        help="per-tenant in-flight quota, 0 = unlimited "
                             "(default 8)")
-    serve.add_argument("--fleet-servers", type=int, default=0,
+    serve.add_argument("--fleet-servers", type=_non_negative_int, default=0,
                        help="co-place requests onto a shared fleet of "
                             "this many simulated servers (0 = no fleet); "
                             "the storm then mixes 2- and 4-GPU jobs at "
                             "full and half memory shares and sheds "
                             "placement misses with a typed reason")
-    serve.add_argument("--fleet-gpus", type=int, default=4,
+    serve.add_argument("--fleet-gpus", type=_positive_int, default=4,
                        help="GPUs per fleet server (default 4)")
     serve.add_argument("--chaos", action="store_true",
                        help="inject service-level chaos (slow planners, "
@@ -337,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="serve the storm twice on fresh services and "
                             "fail unless the metrics snapshots are "
                             "identical")
-    serve.add_argument("--max-shed-rate", type=float, default=None,
+    serve.add_argument("--max-shed-rate", type=_unit_float, default=None,
                        help="exit nonzero if the shed fraction exceeds "
                             "this bound")
     serve.add_argument("--json", metavar="PATH", default=None,

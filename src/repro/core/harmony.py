@@ -156,11 +156,23 @@ class Harmony:
         server: ServerSpec,
         minibatch: int,
         options: HarmonyOptions = HarmonyOptions(),
+        *,
+        profiled: Optional[tuple[DecomposedModel, ModelProfiles]] = None,
     ):
         self.model = build_model(model) if isinstance(model, str) else model
         self.server = server
         self.minibatch = minibatch
         self.options = options
+        # A decomposition + profile made earlier for this model by
+        # ``Decomposer(seed=options.seed)`` and ``Profiler(server.gpu)``:
+        # both are pure functions of (model, GPU spec, seed), so a plan
+        # searched from the shared pair is bit-identical to one that
+        # profiles afresh.  It is used only while the seed and GPU spec
+        # it was made for still hold.
+        if profiled is not None and profiled[0].model is not self.model:
+            raise ValueError("profiled pair was decomposed from another model")
+        self._profiled = profiled
+        self._profiled_for = (options.seed, server.gpu)
         self._plan: Optional[HarmonyPlan] = None
         self._plan_options: Optional[HarmonyOptions] = None
         self._plan_server: Optional[ServerSpec] = None
@@ -194,8 +206,15 @@ class Harmony:
                 and self._plan_options == self.options
                 and self._plan_server == self.server):
             return self._plan
-        decomposed = Decomposer(seed=self.options.seed).decompose(self.model)
-        profiles = Profiler(self.server.gpu).profile(decomposed)
+        if (self._profiled is not None
+                and self._profiled_for == (self.options.seed,
+                                           self.server.gpu)):
+            decomposed, profiles = self._profiled
+        else:
+            decomposed = Decomposer(seed=self.options.seed).decompose(
+                self.model
+            )
+            profiles = Profiler(self.server.gpu).profile(decomposed)
         schedule_options = self.options.schedule_options()
         builder = HarmonyGraphBuilder(
             profiles, self.server.n_gpus, self.minibatch, schedule_options

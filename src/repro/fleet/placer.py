@@ -31,6 +31,7 @@ seeded storms through it are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
@@ -132,6 +133,14 @@ class FleetPlacer:
             [Fraction(1)] * spec.n_gpus for spec in cluster.servers
         ]
         self._active: dict[int, FleetReservation] = {}
+        #: GPU capacity held by live reservations, as an exact integer
+        #: count of ``1/_unit`` GPUs (``_unit`` is the lcm of every share
+        #: denominator seen), kept in step with ``_residual`` so
+        #: :meth:`occupancy` is O(1) without Fraction arithmetic per
+        #: placement
+        self._held = 0
+        self._unit = 1
+        self._total_gpus = cluster.total_gpus
         self._next_token = 0
         self.placements = 0
         self.releases = 0
@@ -144,7 +153,7 @@ class FleetPlacer:
 
     @property
     def total_gpus(self) -> int:
-        return self.cluster.total_gpus
+        return self._total_gpus
 
     @property
     def active(self) -> tuple[FleetReservation, ...]:
@@ -157,11 +166,21 @@ class FleetPlacer:
         return self._residual[server][gpu]
 
     def occupancy(self) -> Fraction:
-        """Occupied fraction of the whole fleet's GPU capacity, exact."""
-        held = sum(
-            (Fraction(1) - r) for row in self._residual for r in row
-        )
-        return Fraction(held, self.total_gpus)
+        """Occupied fraction of the whole fleet's GPU capacity, exact.
+
+        The running integer total is exact, so this equals the re-sum
+        ``sum(1 - r for r in residuals) / total_gpus`` at every step."""
+        return Fraction(self._held, self._unit * self._total_gpus)
+
+    def _charge(self, share: Fraction, n_devices: int) -> None:
+        """Add ``share`` on ``n_devices`` GPUs to the held total (a
+        negative count releases)."""
+        den = share.denominator
+        if self._unit % den:
+            scale = den // math.gcd(self._unit, den)
+            self._held *= scale
+            self._unit *= scale
+        self._held += share.numerator * n_devices * (self._unit // den)
 
     def tenants_on(self, server: int, gpu: int) -> tuple[str, ...]:
         """Tenants co-resident on one GPU, oldest placement first."""
@@ -243,6 +262,7 @@ class FleetPlacer:
         )
         self._next_token += 1
         self._active[reservation.token] = reservation
+        self._charge(share, len(devices))
         self.placements += 1
         return reservation
 
@@ -262,6 +282,7 @@ class FleetPlacer:
                     f"s{reservation.server}/gpu{gpu} released past full: "
                     f"{row[gpu]}"
                 )
+        self._charge(reservation.share, -len(reservation.devices))
         self.releases += 1
 
     # -- certification -----------------------------------------------------------

@@ -6,8 +6,9 @@ schedule, pass admission control (tenant quota, bounded queue), wait in
 FIFO order, and are served by the first free worker.  All *timing* is
 virtual and deterministic; the *plans themselves* are real -- a cache
 miss runs the actual Decomposer/Profiler/Scheduler stack (wall clock,
-memoized per content key), so a served plan is exactly what
-``repro plan`` would print.
+memoized per content key; each model is decomposed and profiled once
+per service), so a served plan is exactly what ``repro plan`` would
+print.
 
 With a :class:`~repro.fleet.FleetPlacer` attached, a placement rung runs
 between admission and planning: the request's logical devices are
@@ -46,19 +47,30 @@ a hang or a silently dropped request.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Generator, Optional
 
 from repro.common.backoff import BackoffPolicy
-from repro.common.errors import ScheduleAnalysisError, SimulationError
+from repro.common.errors import (
+    ReproError,
+    ScheduleAnalysisError,
+    SimulationError,
+)
 from repro.fleet.placer import FleetPlacer, FleetReservation
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.hardware.server import ServerSpec
 from repro.models.zoo import build_model
+from repro.perf import perf_enabled
 from repro.service.breaker import CircuitBreaker, DEFAULT_COOLDOWN
-from repro.service.cache import PlanCache, family_key, plan_key
+from repro.service.cache import (
+    PlanCache,
+    family_key,
+    model_fingerprint,
+    plan_key,
+)
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import Outcome, PlanRequest, RequestResult
@@ -124,14 +136,17 @@ class ServiceConfig:
             raise ValueError(
                 f"tenant_quota must be >= 0, got {self.tenant_quota}"
             )
-        if self.default_deadline <= 0:
+        if not (math.isfinite(self.default_deadline)
+                and self.default_deadline > 0):
             raise ValueError(
-                f"default_deadline must be > 0, got {self.default_deadline}"
+                f"default_deadline must be finite and > 0, "
+                f"got {self.default_deadline}"
             )
         for name in ("plan_cost", "cache_cost", "stale_cost",
                      "baseline_cost", "detect_cost", "place_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            cost = getattr(self, name)
+            if not (math.isfinite(cost) and cost >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {cost}")
         if self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
@@ -197,6 +212,16 @@ class PlannerService:
         self._run_seconds: dict[str, float] = {}
         #: (model fp, gpus, minibatch) -> memoized baseline plan
         self._baselines: dict[tuple, Any] = {}
+        #: (model name, gpus, minibatch, mode) -> (options, plan key,
+        #: family key): a storm has a handful of request shapes, and
+        #: every input of the digests is fixed per shape
+        self._shapes: dict[tuple, tuple[HarmonyOptions, str, tuple]] = {}
+        #: (model fp, GPU spec, seed) -> (DecomposedModel, ModelProfiles)
+        #: shared by every fresh plan of that model; None when the perf
+        #: caches are off, so each plan profiles afresh
+        self._profiled: Optional[dict[tuple, tuple]] = (
+            {} if perf_enabled() else None
+        )
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
@@ -363,9 +388,16 @@ class PlannerService:
             self._place(request, reservation)
 
         server = self._server(request.gpus)
-        options = replace(self.options, mode=request.mode)
-        key = plan_key(model, server, request.minibatch, options)
-        family = family_key(model, request.minibatch, options)
+        shape = (request.model, request.gpus, request.minibatch, request.mode)
+        memo = self._shapes.get(shape)
+        if memo is None:
+            options = replace(self.options, mode=request.mode)
+            memo = self._shapes[shape] = (
+                options,
+                plan_key(model, server, request.minibatch, options),
+                family_key(model, request.minibatch, options),
+            )
+        options, key, family = memo
 
         # Rung 1: exact content-addressed cache hit.
         plan = self.cache.get(key)
@@ -507,17 +539,26 @@ class PlannerService:
                 yield self.sim.timeout(pause)
                 attempt += 1
                 continue
+            profiled_key = (model_fingerprint(model), server.gpu, options.seed)
+            profiled = (self._profiled.get(profiled_key)
+                        if self._profiled is not None else None)
             try:
                 harmony = Harmony(
-                    model, server, request.minibatch, options=options
+                    model, server, request.minibatch, options=options,
+                    profiled=profiled,
                 )
                 plan = harmony.plan()
-            except Exception:
+            except ReproError:
                 # Planner-side failure (infeasible config, scheduler
-                # error): terminal for the fresh rung.
+                # error): terminal for the fresh rung.  Anything else is
+                # a bug and propagates out of run().
                 self.metrics.planner_failures += 1
                 self.breaker.record_failure(self.sim.now)
                 return False, attempt + 1
+            if self._profiled is not None:
+                self._profiled.setdefault(
+                    profiled_key, (plan.decomposed, plan.profiles)
+                )
             self.breaker.record_success(self.sim.now)
             self.cache.put(key, plan, family=family, n_gpus=request.gpus)
             self._harmonys[key] = harmony
@@ -689,8 +730,6 @@ class PlannerService:
                        minibatch: int) -> Optional[Any]:
         """Memoized GPipe-swap baseline plan (None if even the baseline
         cannot plan this request -- then the ladder sheds)."""
-        from repro.service.cache import model_fingerprint
-
         key = (model_fingerprint(model), server.n_gpus, minibatch)
         if key in self._baselines:
             return self._baselines[key]
@@ -698,7 +737,7 @@ class PlannerService:
 
         try:
             plan = GpipeSwapPlanner(model, server, minibatch).plan()
-        except Exception:
+        except ReproError:
             plan = None
         self._baselines[key] = plan
         return plan

@@ -3,13 +3,14 @@
 Every request the service admits (or refuses) resolves to exactly one
 :class:`Outcome`; the acceptance criterion "every request terminally
 resolved (served/degraded/shed with reason)" is checked over these.
-Kept import-light (dataclasses + enum only) so tests and tooling can
+Kept import-light (standard library only) so tests and tooling can
 consume results without pulling in the daemon.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -97,10 +98,15 @@ class PlanRequest:
             raise ValueError(f"gpus must be >= 1, got {self.gpus}")
         if self.mode not in ("pp", "dp"):
             raise ValueError(f"mode must be 'pp' or 'dp', got {self.mode!r}")
-        if self.arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
+            raise ValueError(
+                f"arrival must be finite and >= 0, got {self.arrival}"
+            )
+        if self.deadline is not None and not (
+                math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError(
+                f"deadline must be finite and > 0, got {self.deadline}"
+            )
         if not 0.0 < self.memory_share <= 1.0:
             raise ValueError(
                 f"memory_share must be in (0, 1], got {self.memory_share}"

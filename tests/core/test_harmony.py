@@ -35,6 +35,41 @@ class TestPlan:
         assert harmony.model.name == "toy-transformer-6"
 
 
+class TestProfiledPair:
+    """A decomposition + profile handed in is reused while it applies."""
+
+    def test_shared_pair_plans_bit_identically(self, toy_model, small_server,
+                                               options):
+        solo = Harmony(toy_model, small_server, 8, options).plan()
+        pair = (solo.decomposed, solo.profiles)
+        shared = Harmony(toy_model, small_server, 8, options,
+                         profiled=pair).plan()
+        assert shared.decomposed is solo.decomposed
+        assert shared.profiles is solo.profiles
+        assert shared.config == solo.config
+        assert (shared.search.best_estimate.hex()
+                == solo.search.best_estimate.hex())
+
+    def test_pair_is_dropped_once_the_seed_changes(self, toy_model,
+                                                   small_server, options):
+        from dataclasses import replace
+
+        solo = Harmony(toy_model, small_server, 8, options).plan()
+        harmony = Harmony(toy_model, small_server, 8, options,
+                          profiled=(solo.decomposed, solo.profiles))
+        harmony.options = replace(options, seed=1)
+        reseeded = harmony.plan()
+        assert reseeded.profiles is not solo.profiles
+        assert reseeded.decomposed.units[0].seed == 1
+
+    def test_pair_of_another_model_is_rejected(self, toy_model,
+                                               small_server, options):
+        other = Harmony("tiny-cnn", small_server, 8, options).plan()
+        with pytest.raises(ValueError, match="another model"):
+            Harmony(toy_model, small_server, 8, options,
+                    profiled=(other.decomposed, other.profiles))
+
+
 class TestRun:
     def test_run_produces_metrics(self, toy_model, small_server, options):
         report = Harmony(toy_model, small_server, 8, options).run()

@@ -9,6 +9,8 @@ and identical call sequences must produce identical placements.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.common.rng import seeded_rng
@@ -120,6 +122,39 @@ class TestExactAccounting:
         for s in range(p.n_servers):
             for g in range(4):
                 assert p.residual(s, g) == Fraction(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(1, 6),
+            st.sampled_from((Fraction(1), HALF, QUARTER, Fraction(1, 3))),
+            st.integers(0, 1000),
+        ),
+        max_size=40,
+    ))
+    def test_running_occupancy_equals_the_resum(self, ops):
+        """The O(1) running total is the exact re-sum over residuals
+        after every reserve/release, and 0 once the fleet drains."""
+        p = placer(servers=2, gpus=4)
+
+        def resummed():
+            held = sum(Fraction(1) - p.residual(s, g)
+                       for s in range(p.n_servers) for g in range(4))
+            return Fraction(held, p.total_gpus)
+
+        live = []
+        for reserve, gpus, share, pick in ops:
+            if reserve or not live:
+                res = p.reserve("t", gpus, share=share)
+                if res is not None:
+                    live.append(res)
+            else:
+                p.release(live.pop(pick % len(live)))
+            assert p.occupancy() == resummed()
+        for res in live:
+            p.release(res)
+        assert p.occupancy() == 0 == resummed()
 
     def test_occupancy_is_exact_fraction(self):
         p = placer(servers=1)

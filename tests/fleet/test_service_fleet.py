@@ -12,7 +12,11 @@ import json
 
 import pytest
 
+from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.profiler import Profiler
+from repro.experiments.common import server_for
 from repro.fleet import FleetPlacer, fleet_of
+from repro.models.zoo import build_model
 from repro.service import (
     Outcome,
     PlannerService,
@@ -220,3 +224,47 @@ class TestDeterminism:
                     [r.outcome for r in results.values()])
 
         assert run() == run()
+
+
+class TestSharedProfiles:
+    """Fresh plans reuse one decomposition + profile per model and GPU
+    spec per service, and are bit-identical to solo plans."""
+
+    def test_fresh_plans_equal_solo_plans_and_profile_once(
+            self, monkeypatch):
+        calls = []
+        profile = Profiler.profile
+
+        def counting(self, decomposed):
+            calls.append((decomposed.model.name, self.gpu))
+            return profile(self, decomposed)
+
+        monkeypatch.setattr(Profiler, "profile", counting)
+        service, results = _serve(
+            scripted_workload(120, seed=5, gpus=(2, 4), shares=(1.0, 0.5)),
+            servers=2,
+            chaos=ServiceFaultPlan(ServiceChaosSpec.chaos(1.0), seed=5),
+        )
+        fresh = [r for r in results.values()
+                 if r.outcome is Outcome.SERVED_FRESH]
+        shapes = {(r.request.model, r.request.gpus, r.request.minibatch,
+                   r.request.mode) for r in fresh}
+        profiled = {(build_model(r.request.model).name,
+                     server_for(r.request.gpus).gpu) for r in fresh}
+        assert len(shapes) > len(profiled) > 1
+        assert sorted(calls) == sorted(profiled)
+
+        solo = {
+            shape: Harmony(shape[0], server_for(shape[1]), shape[2],
+                           options=HarmonyOptions(mode=shape[3])).plan()
+            for shape in shapes
+        }
+        for result in fresh:
+            request = result.request
+            want = solo[(request.model, request.gpus, request.minibatch,
+                         request.mode)]
+            got = result.plan
+            assert got.config == want.config
+            assert (got.search.best_estimate.hex()
+                    == want.search.best_estimate.hex())
+            assert len(got.graph) == len(want.graph)

@@ -109,6 +109,54 @@ def test_chaos_run_is_bit_identical_to_disabled(seed, monkeypatch):
     assert fast == slow
 
 
+def _storm_fingerprint(monkeypatch, disable, seed):
+    """One seeded fleet + chaos storm through the planner service: the
+    metrics snapshot, every outcome with its latency bits, and the
+    fleet's final state.  Some requests also execute their plan, so the
+    shared decompositions' true-time tables are exercised too."""
+    from repro.fleet import FleetPlacer, fleet_of
+    from repro.service import (
+        PlannerService,
+        ServiceChaosSpec,
+        ServiceConfig,
+        ServiceFaultPlan,
+        scripted_workload,
+    )
+
+    if disable:
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    else:
+        monkeypatch.delenv(DISABLE_ENV, raising=False)
+    service = PlannerService(
+        ServiceConfig(workers=3),
+        options=HarmonyOptions(search_workers=1),
+        chaos=ServiceFaultPlan(ServiceChaosSpec.chaos(1.0), seed=seed),
+        seed=seed, fleet=FleetPlacer(fleet_of(2, 4)),
+    )
+    results = service.run(scripted_workload(
+        100, seed=seed, gpus=(2, 4), shares=(1.0, 0.5),
+        execute_fraction=0.2,
+    ))
+    return json.dumps({
+        "metrics": service.metrics.snapshot(),
+        "fleet": service.fleet.snapshot(),
+        "results": [
+            (r.outcome.value, r.latency.hex(), r.plan_key, r.attempts,
+             r.run_seconds.hex())
+            for r in results
+        ],
+    }, sort_keys=True)
+
+
+def test_service_storm_is_bit_identical_to_disabled(monkeypatch):
+    """The service's shared profiles and per-shape key memo are perf
+    caches too: with them off every fresh plan profiles afresh, and the
+    storm must not move a bit."""
+    fast = _storm_fingerprint(monkeypatch, disable=False, seed=3)
+    slow = _storm_fingerprint(monkeypatch, disable=True, seed=3)
+    assert fast == slow
+
+
 def test_parallel_search_is_bit_identical_to_serial(monkeypatch):
     """workers=2 fans candidate evaluation over a fork pool; the reduce
     must pick the same winner with the same bits as the serial sweep."""

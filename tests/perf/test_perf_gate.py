@@ -147,6 +147,52 @@ def test_planner_fact_change_fails():
     assert any("n_feasible" in f for f in failures)
 
 
+def _storm_slowed(report, section, factor):
+    slow = copy.deepcopy(report)
+    slow[section]["serve_seconds"] *= factor
+    return slow
+
+
+@pytest.mark.parametrize("section", ["service", "fleet"])
+def test_storm_slowdown_fails_with_the_section_named(section):
+    base = _report()
+    failures = gate.compare(base, _storm_slowed(base, section, 2.0))
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{section} storm: serve_seconds regressed")
+    assert gate.compare(base, _storm_slowed(base, section, 1.2)) == []
+
+
+def test_storm_on_slower_machine_passes_via_calibration():
+    base = _report()
+    slower = _slowed(base, 2.0)
+    for section in ("service", "fleet"):
+        slower = _storm_slowed(slower, section, 2.0)
+    slower["calibration_seconds"] = base["calibration_seconds"] * 2
+    assert gate.compare(base, slower) == []
+
+
+def test_storm_under_the_noise_floor_is_not_gated():
+    base = _report(service=_service(serve_seconds=0.01))
+    assert gate.compare(base, _storm_slowed(base, "service", 4.0)) == []
+
+
+@pytest.mark.parametrize("section, fact", [
+    ("service", "requests"), ("service", "seed"),
+    ("fleet", "requests"), ("fleet", "seed"),
+    ("fleet", "placements"), ("fleet", "certified"),
+])
+def test_storm_fact_change_refuses_the_comparison(section, fact):
+    base = _report()
+    current = _storm_slowed(base, section, 3.0)
+    current[section][fact] += 1
+    failures = gate.compare(base, current)
+    assert failures == [
+        f"{section} storm: {fact} changed {base[section][fact]} -> "
+        f"{current[section][fact]} (the reports did not measure the same "
+        f"work; re-baseline deliberately)"
+    ]
+
+
 def test_unmatched_cases_fail_loudly():
     base = _report()
     current = copy.deepcopy(base)

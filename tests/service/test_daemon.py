@@ -9,7 +9,8 @@ lean on.
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import SchedulingError, SimulationError
+from repro.core.harmony import Harmony
 from repro.service import (
     Outcome,
     PlannerService,
@@ -20,6 +21,8 @@ from repro.service import (
 from repro.service.daemon import StalePlan
 from repro.trace import TraceRecorder
 from repro.trace.events import LANES
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _request(rid=0, *, tenant="t0", model="toy-transformer", minibatch=8,
@@ -237,6 +240,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "default_deadline", "plan_cost", "cache_cost", "stale_cost",
+        "baseline_cost", "detect_cost", "place_cost",
+    ])
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_rejects_non_finite_times(self, name, bad):
+        # NaN slips past every `< 0` comparison; inf is no budget at all.
+        with pytest.raises(ValueError, match="finite"):
+            ServiceConfig(**{name: bad})
+
+    @pytest.mark.parametrize("field", ["arrival", "deadline"])
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_request_rejects_non_finite_times(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _request(0, **{field: bad})
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             _request(0, minibatch=0)
@@ -246,3 +265,37 @@ class TestConfigValidation:
             _request(0, mode="zz")
         with pytest.raises(ValueError):
             _request(0, gpus=0)
+
+
+class TestTypedFailures:
+    """Only the typed planner failures (the ``ReproError`` hierarchy)
+    are service outcomes; anything else is a bug and must surface."""
+
+    def _break_planner(self, monkeypatch, exc):
+        def plan(self, config=None):
+            raise exc
+
+        monkeypatch.setattr(Harmony, "plan", plan)
+
+    def test_planner_bug_propagates_out_of_run(self, monkeypatch):
+        self._break_planner(monkeypatch, AttributeError("planner bug"))
+        with pytest.raises(AttributeError, match="planner bug"):
+            _serve([_request(0)])
+
+    def test_typed_planner_failure_is_counted_and_degraded(self, monkeypatch):
+        self._break_planner(monkeypatch, SchedulingError("no schedule"))
+        service, by_rid = _serve([_request(0)])
+        assert service.metrics.planner_failures == 1
+        assert by_rid[0].outcome is Outcome.DEGRADED_BASELINE
+
+    def test_baseline_bug_propagates_out_of_run(self, monkeypatch):
+        from repro.baselines import GpipeSwapPlanner
+
+        self._break_planner(monkeypatch, SchedulingError("no schedule"))
+
+        def plan(self):
+            raise AttributeError("baseline bug")
+
+        monkeypatch.setattr(GpipeSwapPlanner, "plan", plan)
+        with pytest.raises(AttributeError, match="baseline bug"):
+            _serve([_request(0)])

@@ -53,6 +53,22 @@ class TestUsageErrors:
         ["serve", "--intensity", "-0.5"],
         ["bench", "--repeats", "0"],
         ["bench", "--repeats", "-1"],
+        ["serve", "--requests", "-3"],
+        ["serve", "--workers", "0"],
+        ["serve", "--queue-limit", "0"],
+        ["serve", "--fleet-gpus", "0"],
+        ["serve", "--fleet-servers", "-1"],
+        ["serve", "--quota", "-1"],
+        ["serve", "--tenants", "0"],
+        *(["serve", flag, bad]
+          for flag in ("--duration", "--deadline")
+          for bad in ("0", "-1", "nan", "inf")),
+        *(["serve", flag, bad]
+          for flag in ("--max-shed-rate", "--execute-fraction")
+          for bad in ("nan", "-0.1", "1.5", "inf")),
+        ["chaos", "toy-transformer", "--iterations", "0"],
+        ["trace", "toy-transformer", "--iterations", "0"],
+        ["bind", "toy-transformer", "--run", "--iterations", "0"],
     ], ids="_".join)
     def test_rejected_at_the_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
