@@ -80,7 +80,6 @@ from typing import Callable, Optional, Sequence
 from repro.analysis import INJECTIONS, analyze, inject
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import render, server_for
-from repro.faults.plan import check_intensity
 from repro.models.zoo import available_models
 
 EXPERIMENTS = {
@@ -140,21 +139,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _unit_float(text: str) -> float:
     """argparse type: a float in [0, 1] (NaN is not in it)."""
     value = _finite_float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
-
-
-def _intensity(text: str) -> float:
-    """argparse type: a chaos intensity, a finite float >= 0."""
-    try:
-        value = float(text)
-        check_intensity(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -248,58 +245,59 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(load in chrome://tracing or ui.perfetto.dev)")
     trace.add_argument("--text", action="store_true",
                        help="also print the per-lane ASCII timeline")
-    trace.add_argument("--ring", type=int, default=None,
+    trace.add_argument("--ring", type=_positive_int, default=None,
                        help="bounded-memory mode: keep only the newest N "
                             "events (accounting checks are skipped once "
                             "events drop)")
     trace.add_argument("--chaos-seed", type=int, default=None,
                        help="additionally inject chaos faults from this "
                             "seed, so the trace shows faults and recovery")
-    trace.add_argument("--intensity", type=_intensity, default=1.0,
+    trace.add_argument("--intensity", type=_non_negative_float, default=1.0,
                        help="chaos intensity when --chaos-seed is given")
 
     chaos = sub.add_parser(
         "chaos", help="execute under fault injection across a seed sweep"
     )
     add_model_args(chaos)
-    chaos.add_argument("--seeds", type=int, default=5,
+    chaos.add_argument("--seeds", type=_positive_int, default=5,
                        help="number of fault seeds to sweep (default 5)")
     chaos.add_argument("--seed-base", type=int, default=0,
                        help="first fault seed of the sweep")
-    chaos.add_argument("--intensity", type=_intensity, default=1.0,
+    chaos.add_argument("--intensity", type=_non_negative_float, default=1.0,
                        help="chaos intensity multiplier (default 1.0)")
     chaos.add_argument("--iterations", type=_positive_int, default=2,
                        help="iterations per run (default 2, so iteration-"
                             "boundary recovery gets exercised)")
-    chaos.add_argument("--transfer-rate", type=float, default=None,
+    chaos.add_argument("--transfer-rate", type=_unit_float, default=None,
                        help="override the transfer fault rate")
-    chaos.add_argument("--crash-rate", type=float, default=None,
+    chaos.add_argument("--crash-rate", type=_unit_float, default=None,
                        help="override the task crash rate")
-    chaos.add_argument("--devices-lost", type=int, default=0,
+    chaos.add_argument("--devices-lost", type=_non_negative_int, default=0,
                        help="permanently kill this many in-use GPUs per "
                             "seed (victims rotate with the seed; always "
                             "leaves at least one survivor) -- exercises "
                             "elastic re-planning + state migration")
-    chaos.add_argument("--lose-at", type=int, default=1,
+    chaos.add_argument("--lose-at", type=_non_negative_int, default=1,
                        help="iteration at which the losses strike "
                             "(default 1; needs --iterations > this)")
-    chaos.add_argument("--servers", type=int, default=1,
+    chaos.add_argument("--servers", type=_positive_int, default=1,
                        help="run on a simulated cluster of this many "
                             "servers (>1 switches to the cluster chaos "
                             "sweep: whole-server crashes, partitions, "
                             "NIC/switch flaps; --mode picks dp or a "
                             "stage-per-server pipeline)")
-    chaos.add_argument("--servers-lost", type=int, default=0,
+    chaos.add_argument("--servers-lost", type=_non_negative_int, default=0,
                        help="with --servers > 1: permanently crash this "
                             "many servers per seed at --lose-at (victims "
                             "rotate with the seed; always leaves a "
                             "survivor) -- exercises replica restore + "
                             "cross-server re-planning")
-    chaos.add_argument("--partition-at", type=float, default=None,
+    chaos.add_argument("--partition-at", type=_non_negative_float,
+                       default=None,
                        help="with --servers > 1: script a network "
                             "partition window opening at this virtual "
                             "time, isolating one seed-rotated server")
-    chaos.add_argument("--partition-for", type=float, default=0.02,
+    chaos.add_argument("--partition-for", type=_positive_float, default=0.02,
                        help="scripted partition window length in virtual "
                             "seconds (default 0.02)")
     chaos.add_argument("--hetero", metavar="SCALES", default=None,
@@ -324,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=_positive_int, default=3,
                        help="repeats per case; the minimum is reported "
                             "(default 3)")
-    bench.add_argument("--workers", type=int, default=1,
+    bench.add_argument("--workers", type=_positive_int, default=1,
                        help="search candidate evaluators (default 1 = "
                             "serial; >1 forks a worker pool)")
     bench.add_argument("--out", metavar="PATH", default=None,
@@ -367,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos", action="store_true",
                        help="inject service-level chaos (slow planners, "
                             "planner crashes, poisoned requests)")
-    serve.add_argument("--intensity", type=_intensity, default=1.0,
+    serve.add_argument("--intensity", type=_non_negative_float, default=1.0,
                        help="chaos intensity when --chaos is given "
                             "(default 1.0)")
     serve.add_argument("--check-determinism", action="store_true",

@@ -27,82 +27,37 @@ cluster seed, so intra-server chaos and cluster chaos compose.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.common.rng import unit
-from repro.faults.plan import FaultPlan, FaultSpec, check_intensity
-
-
-class ClusterFaultKind(enum.Enum):
-    """Cluster-level fault classes the injector can deliver."""
-
-    SERVER_CRASH = "server_crash"
-    PARTITION = "partition"
-    NIC_DEGRADE = "nic_degrade"
-    SWITCH_FLAP = "switch_flap"
-
-
-_RATES = (
-    "server_crash_rate",
-    "partition_rate",
-    "nic_degrade_rate",
-    "switch_flap_rate",
-)
+from repro.faults.domain import RateSpec, SeededPlan, tagged
+from repro.faults.plan import FaultPlan, FaultSpec
 
 
 @dataclass(frozen=True)
-class ClusterFaultSpec:
+class ClusterFaultSpec(RateSpec):
     """Rates and magnitudes for each cluster fault class (rates in [0, 1])."""
 
     #: probability a given server permanently crashes during the run
-    server_crash_rate: float = 0.0
+    server_crash_rate: float = tagged("rate")
     #: probability a given window epoch is a network partition
-    partition_rate: float = 0.0
+    partition_rate: float = tagged("rate")
     #: virtual seconds per partition window epoch
-    partition_interval: float = 0.05
+    partition_interval: float = tagged("interval", 0.05)
     #: probability a NIC direction spends a given epoch degraded
-    nic_degrade_rate: float = 0.0
+    nic_degrade_rate: float = tagged("rate")
     #: bandwidth multiplier while a NIC is degraded
-    nic_degrade_factor: float = 0.25
+    nic_degrade_factor: float = tagged("factor", 0.25)
     #: virtual seconds per NIC degradation epoch
-    nic_flap_interval: float = 0.05
+    nic_flap_interval: float = tagged("interval", 0.05)
     #: probability the switch spends a given epoch degraded
-    switch_flap_rate: float = 0.0
+    switch_flap_rate: float = tagged("rate")
     #: bandwidth multiplier while the switch is degraded
-    switch_flap_factor: float = 0.5
+    switch_flap_factor: float = tagged("factor", 0.5)
     #: per-server (intra-machine) fault mix
     inner: FaultSpec = field(default_factory=FaultSpec)
-
-    def __post_init__(self) -> None:
-        for name in _RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("nic_degrade_factor", "switch_flap_factor"):
-            factor = getattr(self, name)
-            if not 0.0 < factor <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {factor}")
-        for name in ("partition_interval", "nic_flap_interval"):
-            interval = getattr(self, name)
-            if interval <= 0:
-                raise ValueError(f"{name} must be positive, got {interval}")
-
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            any(getattr(self, name) > 0.0 for name in _RATES)
-            or self.inner.any_enabled
-        )
-
-    # -- presets -----------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "ClusterFaultSpec":
-        """All cluster faults off."""
-        return cls()
 
     @classmethod
     def cluster_chaos(cls, intensity: float = 1.0) -> "ClusterFaultSpec":
@@ -114,41 +69,18 @@ class ClusterFaultSpec:
         making completion unlikely.  The inner per-server mix runs at
         half intensity so cluster-level faults dominate the storm.
         """
-        check_intensity(intensity)
-        clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
         return cls(
-            server_crash_rate=clamp(0.25),
-            partition_rate=clamp(0.15),
-            nic_degrade_rate=clamp(0.10),
-            switch_flap_rate=clamp(0.10),
+            **cls.scaled(intensity, server_crash_rate=0.25,
+                         partition_rate=0.15, nic_degrade_rate=0.10,
+                         switch_flap_rate=0.10),
             inner=FaultSpec.chaos(0.5 * intensity),
         )
 
-    def describe(self) -> str:
-        parts = [
-            f"{f.name}={getattr(self, f.name):g}"
-            for f in fields(self)
-            if f.name != "inner"
-            and getattr(self, f.name) != getattr(type(self)(), f.name)
-        ]
-        if self.inner.any_enabled:
-            parts.append(f"inner={self.inner.describe()}")
-        return (
-            "ClusterFaultSpec(" + ", ".join(parts) + ")"
-            if parts else "ClusterFaultSpec(off)"
-        )
 
-
-class ClusterFaultPlan:
+class ClusterFaultPlan(SeededPlan):
     """A seeded, reproducible oracle for every cluster fault decision."""
 
-    def __init__(self, spec: ClusterFaultSpec, seed: int = 0):
-        self.spec = spec
-        self.seed = seed
-
-    @property
-    def enabled(self) -> bool:
-        return self.spec.any_enabled
+    spec: ClusterFaultSpec
 
     # -- per-server inner chaos --------------------------------------------------
 
@@ -232,9 +164,6 @@ class ClusterFaultPlan:
             return self.spec.switch_flap_factor
         return 1.0
 
-    def describe(self) -> str:
-        return f"ClusterFaultPlan(seed={self.seed}, {self.spec.describe()})"
-
 
 @dataclass(frozen=True)
 class PartitionWindow:
@@ -263,6 +192,8 @@ class ScriptedClusterFaultPlan(ClusterFaultPlan):
     tuples); ``server_plans`` overrides the inner plan per server.
     """
 
+    scripted = ("crashes", "windows", "server_plans")
+
     def __init__(
         self,
         crashes: Optional[dict[int, int]] = None,
@@ -280,13 +211,6 @@ class ScriptedClusterFaultPlan(ClusterFaultPlan):
             for w in partitions
         ]
         self.server_plans = dict(server_plans or {})
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.crashes or self.windows or self.server_plans
-            or self.spec.any_enabled
-        )
 
     def server_plan(self, server: int) -> FaultPlan:
         if server in self.server_plans:

@@ -30,11 +30,11 @@ The fault taxonomy (DESIGN.md section 8):
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.rng import unit
+from repro.faults.domain import RateSpec, SeededPlan, tagged
 
 
 class FaultKind(enum.Enum):
@@ -48,87 +48,34 @@ class FaultKind(enum.Enum):
     GPU_LOSS = "gpu_loss"
 
 
-_RATES = (
-    "transfer_fault_rate",
-    "link_degrade_rate",
-    "gpu_slowdown_rate",
-    "task_crash_rate",
-    "host_pressure_rate",
-    "gpu_loss_rate",
-)
-
-
-def check_intensity(intensity: float) -> None:
-    """Reject a chaos intensity that is negative or not finite (a NaN
-    would pass every ``< 0`` test and silently scale rates to NaN)."""
-    if not math.isfinite(intensity) or intensity < 0:
-        raise ValueError(
-            f"intensity must be a finite number >= 0, got {intensity}"
-        )
-
-
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(RateSpec):
     """Rates and magnitudes for each fault class.  All rates in [0, 1]."""
 
     #: probability one transfer attempt fails in flight
-    transfer_fault_rate: float = 0.0
+    transfer_fault_rate: float = tagged("rate")
     #: probability a link spends a given epoch degraded
-    link_degrade_rate: float = 0.0
+    link_degrade_rate: float = tagged("rate")
     #: bandwidth multiplier while a link is degraded
-    link_degrade_factor: float = 0.25
+    link_degrade_factor: float = tagged("factor", 0.25)
     #: virtual seconds per link degradation epoch (flap granularity)
-    link_flap_interval: float = 0.05
+    link_flap_interval: float = tagged("interval", 0.05)
     #: probability a GPU is a straggler for the whole run
-    gpu_slowdown_rate: float = 0.0
+    gpu_slowdown_rate: float = tagged("rate")
     #: kernel-time multiplier of a straggler GPU
-    gpu_slowdown_factor: float = 2.0
+    gpu_slowdown_factor: float = tagged("slowdown", 2.0)
     #: probability a straggler is persistent (re-bind candidate)
-    gpu_persistent_rate: float = 0.5
+    gpu_persistent_rate: float = tagged("probability", 0.5)
     #: probability one compute attempt crashes
-    task_crash_rate: float = 0.0
+    task_crash_rate: float = tagged("rate")
     #: probability the host spends a given epoch under memory pressure
-    host_pressure_rate: float = 0.0
+    host_pressure_rate: float = tagged("rate")
     #: host-side bandwidth multiplier during a pressure epoch
-    host_pressure_factor: float = 0.5
+    host_pressure_factor: float = tagged("factor", 0.5)
     #: virtual seconds per host pressure epoch
-    host_pressure_interval: float = 0.1
+    host_pressure_interval: float = tagged("interval", 0.1)
     #: probability a GPU permanently dies during the run (hardware loss)
-    gpu_loss_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in _RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("link_degrade_factor", "host_pressure_factor"):
-            factor = getattr(self, name)
-            if not 0.0 < factor <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {factor}")
-        if self.gpu_slowdown_factor < 1.0:
-            raise ValueError(
-                f"gpu_slowdown_factor must be >= 1, got {self.gpu_slowdown_factor}"
-            )
-        if not 0.0 <= self.gpu_persistent_rate <= 1.0:
-            raise ValueError(
-                f"gpu_persistent_rate must be in [0, 1], "
-                f"got {self.gpu_persistent_rate}"
-            )
-        for name in ("link_flap_interval", "host_pressure_interval"):
-            interval = getattr(self, name)
-            if interval <= 0:
-                raise ValueError(f"{name} must be positive, got {interval}")
-
-    @property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, name) > 0.0 for name in _RATES)
-
-    # -- presets -----------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "FaultSpec":
-        """All faults off (the zero-overhead baseline)."""
-        return cls()
+    gpu_loss_rate: float = tagged("rate")
 
     @classmethod
     def chaos(cls, intensity: float = 1.0) -> "FaultSpec":
@@ -139,27 +86,12 @@ class FaultSpec:
         fifth seed, and occasional task crashes -- enough to exercise
         every recovery path without making completion unlikely.
         """
-        check_intensity(intensity)
-        clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
         return cls(
-            transfer_fault_rate=clamp(0.02),
-            link_degrade_rate=clamp(0.10),
-            link_degrade_factor=0.25,
-            gpu_slowdown_rate=clamp(0.20),
+            **cls.scaled(intensity, transfer_fault_rate=0.02,
+                         link_degrade_rate=0.10, gpu_slowdown_rate=0.20,
+                         task_crash_rate=0.01, host_pressure_rate=0.10),
             gpu_slowdown_factor=1.0 + 1.0 * max(intensity, 0.1),
-            gpu_persistent_rate=0.5,
-            task_crash_rate=clamp(0.01),
-            host_pressure_rate=clamp(0.10),
-            host_pressure_factor=0.5,
         )
-
-    def describe(self) -> str:
-        parts = [
-            f"{f.name}={getattr(self, f.name):g}"
-            for f in fields(self)
-            if getattr(self, f.name) != getattr(type(self)(), f.name)
-        ]
-        return "FaultSpec(" + ", ".join(parts) + ")" if parts else "FaultSpec(off)"
 
 
 @dataclass(frozen=True)
@@ -169,7 +101,7 @@ class Crash:
     fraction: float
 
 
-class FaultPlan:
+class FaultPlan(SeededPlan):
     """A seeded, reproducible oracle for every fault decision.
 
     ``context`` distinguishes restart attempts of the same iteration: the
@@ -179,17 +111,7 @@ class FaultPlan:
     the same fault forever.
     """
 
-    def __init__(self, spec: FaultSpec, seed: int = 0):
-        self.spec = spec
-        self.seed = seed
-
-    @property
-    def enabled(self) -> bool:
-        """False for an all-faults-disabled plan (zero-overhead mode)."""
-        return self.spec.any_enabled
-
-    def with_spec(self, **changes: float) -> "FaultPlan":
-        return FaultPlan(replace(self.spec, **changes), seed=self.seed)
+    spec: FaultSpec
 
     # -- decisions ---------------------------------------------------------------
 
@@ -271,9 +193,6 @@ class FaultPlan:
             return self.spec.host_pressure_factor
         return 1.0
 
-    def describe(self) -> str:
-        return f"FaultPlan(seed={self.seed}, {self.spec.describe()})"
-
 
 class ScriptedFaultPlan(FaultPlan):
     """A plan whose decisions are spelled out explicitly (for tests).
@@ -288,6 +207,9 @@ class ScriptedFaultPlan(FaultPlan):
     Context is ignored: scripted faults fire on every restart attempt
     unless the script keys on ``attempt``.
     """
+
+    scripted = ("transfer_faults", "crashes", "slowdowns", "slowdowns_at",
+                "losses")
 
     def __init__(
         self,
@@ -305,13 +227,6 @@ class ScriptedFaultPlan(FaultPlan):
         self.slowdowns = dict(slowdowns or {})
         self.slowdowns_at = dict(slowdowns_at or {})
         self.losses = dict(losses or {})
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.transfer_faults or self.crashes or self.slowdowns
-            or self.slowdowns_at or self.losses or self.spec.any_enabled
-        )
 
     def transfer_fault(
         self, entity: str, label: str, attempt: int, context: tuple = ()

@@ -10,6 +10,12 @@ the AST of every file under ``src/repro`` and enforces them:
   the package-wide seeding scheme), and ``numpy.random`` may be touched
   only through ``default_rng(seed)`` / ``Generator`` / ``SeedSequence``
   -- never the unseeded module-level API;
+- **one chaos stack** (``rng/fault-draw``): only the fault-domain
+  modules (``faults/domain.py``, ``faults/plan.py``,
+  ``cluster/faults.py``, ``service/chaos.py``) may import the stateless
+  fault draw ``repro.common.rng.unit``, directly or via ``repro.common``;
+  a new fault layer extends :mod:`repro.faults.domain` instead of
+  growing a parallel stack;
 - **no wall-clock reads** (``time/wall-clock``): simulated time is the
   only clock; ``time.time``/``time.monotonic`` and ``datetime.now``
   kin would leak host time into supposedly deterministic runs
@@ -40,6 +46,15 @@ from typing import Iterator
 
 #: The one module allowed to import stdlib ``random``.
 RNG_MODULE = Path("repro") / "common" / "rng.py"
+
+#: The fault-domain modules, the only importers of ``repro.common.rng.unit``
+#: (besides the ``repro.common`` package that defines and re-exports it).
+FAULT_DOMAIN = (
+    Path("repro") / "faults" / "domain.py",
+    Path("repro") / "faults" / "plan.py",
+    Path("repro") / "cluster" / "faults.py",
+    Path("repro") / "service" / "chaos.py",
+)
 
 #: Files whose arithmetic must stay integer-exact.
 INTEGER_EXACT = (
@@ -90,6 +105,10 @@ class _Checker(ast.NodeVisitor):
         self.in_fstring = 0
         self.integer_exact = rel_path in INTEGER_EXACT
         self.allow_stdlib_random = rel_path == RNG_MODULE
+        self.allow_fault_draw = (
+            rel_path in FAULT_DOMAIN
+            or rel_path.parent == Path("repro") / "common"
+        )
         self.check_frozen = rel_path == FROZEN_DATACLASSES
 
     def flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -116,6 +135,17 @@ class _Checker(ast.NodeVisitor):
                 node, "rng/stdlib-random",
                 "stdlib random imported outside repro.common.rng; "
                 "derive draws from repro.common.rng.seeded_rng",
+            )
+        if (
+            module in ("repro.common.rng", "repro.common")
+            and not self.allow_fault_draw
+            and any(alias.name == "unit" for alias in node.names)
+        ):
+            self.flag(
+                node, "rng/fault-draw",
+                f"{module}.unit imported outside the fault-domain "
+                "modules; declare fault draws in a repro.faults.domain "
+                "plan",
             )
         if module in ("numpy.random", "np.random"):
             for alias in node.names:

@@ -98,13 +98,6 @@ class TestFaultPlan:
         assert multiplier == 3.0
         assert plan.gpu_slowdown(1) == plan.gpu_slowdown(1)
 
-    def test_with_spec_keeps_seed(self):
-        plan = FaultPlan(FaultSpec.chaos(), seed=5)
-        quiet = plan.with_spec(transfer_fault_rate=0.0)
-        assert quiet.seed == 5
-        assert quiet.spec.transfer_fault_rate == 0.0
-        assert quiet.spec.link_degrade_rate == plan.spec.link_degrade_rate
-
     def test_describe_names_seed(self):
         assert "seed=7" in FaultPlan(FaultSpec.chaos(), seed=7).describe()
 

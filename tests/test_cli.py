@@ -69,6 +69,19 @@ class TestUsageErrors:
         ["chaos", "toy-transformer", "--iterations", "0"],
         ["trace", "toy-transformer", "--iterations", "0"],
         ["bind", "toy-transformer", "--run", "--iterations", "0"],
+        *(["chaos", "toy-transformer", flag, bad]
+          for flag in ("--transfer-rate", "--crash-rate")
+          for bad in ("nan", "-0.1", "2")),
+        *(["chaos", "toy-transformer", "--seeds", bad] for bad in ("0", "-2")),
+        *(["chaos", "toy-transformer", flag, "-1"]
+          for flag in ("--devices-lost", "--servers-lost", "--lose-at")),
+        ["chaos", "toy-transformer", "--servers", "0"],
+        *(["chaos", "toy-transformer", "--servers", "3", "--partition-at", bad]
+          for bad in ("nan", "inf", "-0.5")),
+        *(["chaos", "toy-transformer", "--servers", "3", "--partition-for",
+           bad] for bad in ("-1", "0", "nan")),
+        ["bench", "--workers", "0"],
+        ["trace", "toy-transformer", "--ring", "0"],
     ], ids="_".join)
     def test_rejected_at_the_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

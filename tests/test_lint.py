@@ -56,6 +56,30 @@ class TestNumpyRandom:
         assert rules == ["rng/unseeded-numpy"]
 
 
+class TestFaultDraw:
+    def test_unit_import_outside_fault_domain_flagged(self, tmp_path):
+        rules = run(tmp_path, "repro/runtime/x.py",
+                    "from repro.common.rng import unit\n")
+        assert rules == ["rng/fault-draw"]
+
+    def test_unit_via_common_package_flagged(self, tmp_path):
+        rules = run(tmp_path, "repro/fleet/x.py",
+                    "from repro.common import GiB, unit as draw\n")
+        assert rules == ["rng/fault-draw"]
+
+    def test_fault_domain_modules_exempt(self, tmp_path):
+        for rel in ("repro/faults/domain.py", "repro/faults/plan.py",
+                    "repro/cluster/faults.py", "repro/service/chaos.py",
+                    "repro/common/__init__.py"):
+            assert run(tmp_path, rel,
+                       "from repro.common.rng import unit\n") == []
+
+    def test_other_rng_helpers_allowed(self, tmp_path):
+        rules = run(tmp_path, "repro/core/x.py",
+                    "from repro.common.rng import seeded_rng, spread\n")
+        assert rules == []
+
+
 class TestWallClock:
     def test_time_time_flagged(self, tmp_path):
         rules = run(tmp_path, "repro/sim/x.py",
