@@ -40,6 +40,12 @@ echo "== perfbench self-tests =="
 # outputs fails here rather than only when the benchmark is run.
 python -m pytest -q perfbench || failed=1
 
+echo "== baselines smoke =="
+# Every LMS baseline (DP, GP and 2BW Swap, with and without
+# recomputation), the ZeRO-Infinity analog and both Harmony schedules
+# planned and run through the public API (~2 s).
+python examples/compare_baselines.py toy-transformer 16 || failed=1
+
 echo "== chaos smoke =="
 python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 --seeds 3 \
     || failed=1

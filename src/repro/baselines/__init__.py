@@ -12,14 +12,17 @@ parallel-training schemes with IBM-LMS-style per-GPU swapping:
 - :mod:`~repro.baselines.zero_infinity` -- a ZeRO-Infinity analog: sharded
   state streamed from host per layer pack per microbatch, CPU optimizer.
 
-Each planner replays its schedule's tensor touches through the
+Each LMS planner replays its schedule's tensor touches through the
 :class:`~repro.memory.swap_manager.LruSwapManager` to derive swap volumes
 (reproducing the repeated/unnecessary/unbalanced swaps of Section 2
-mechanically, not by hand-coded formulas), then emits a task graph that
-the same Runtime executes.
+mechanically, not by hand-coded formulas), and turns every replayed step
+into one task through :func:`~repro.baselines.base.lms_task`; the same
+Runtime executes the graph.  GP Swap and 2BW Swap share one stage
+pipeline, :class:`~repro.baselines.gpipe_swap.StagePipelinePlanner`, and
+differ only in their step order and weight-version count.
 """
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, run_baseline
+from repro.baselines.base import BaselinePlan, BaselineScheme
 from repro.baselines.dp_swap import DpSwapPlanner
 from repro.baselines.gpipe_swap import GpipeSwapPlanner
 from repro.baselines.pipedream_2bw import PipeDream2BWPlanner
@@ -28,7 +31,6 @@ from repro.baselines.zero_infinity import ZeroInfinityPlanner
 __all__ = [
     "BaselinePlan",
     "BaselineScheme",
-    "run_baseline",
     "DpSwapPlanner",
     "GpipeSwapPlanner",
     "PipeDream2BWPlanner",

@@ -4,9 +4,9 @@ The core piece is the *LMS replay*: walk the exact tensor-touch sequence a
 schedule performs (weights, stashed activations, gradient buffers,
 optimizer state, layer by layer, microbatch by microbatch) through a
 per-GPU :class:`~repro.memory.swap_manager.LruSwapManager`, and record the
-swap-in/out bytes each schedule step incurs.  The planner then attaches
-those bytes as moves on per-(phase, microbatch) tasks and the standard
-Runtime executes the graph.
+swap-in/out bytes each schedule step incurs.  :func:`lms_task` attaches
+those bytes as moves on the step's task and the standard Runtime
+executes the graph.
 
 IBM-LMS moves tensors rather than dropping clean copies, so evictions
 write back unconditionally -- this is what reproduces the paper's
@@ -15,12 +15,12 @@ write back unconditionally -- this is what reproduces the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from repro.core.decomposer import DecomposedModel, Decomposer
 from repro.core.profiler import ModelProfiles, Profiler
-from repro.core.types import TaskGraph
+from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
 from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.memory.swap_manager import LruSwapManager
 from repro.models.spec import ModelSpec
@@ -75,6 +75,69 @@ class LmsReplay:
     def flush(self, key: str) -> None:
         """Force a dirty tensor back to host (end-of-iteration state)."""
         self._step_out += self.manager.flush(key)
+
+    def update(self, layers: Sequence[int], profiles: ModelProfiles,
+               slots: int, version: str = "") -> None:
+        """The optimizer step: read ``dW``, rewrite the weights (key
+        ``W:{layer}{version}``) and optimizer state, then flush both back
+        to host."""
+        for layer in layers:
+            nbytes = profiles[layer].param_bytes
+            self.use(f"W:{layer}{version}", nbytes, write=True)
+            self.use(f"dW:{layer}", nbytes)
+            self.use(f"K:{layer}", nbytes * slots, write=True)
+        for layer in layers:
+            self.flush(f"W:{layer}{version}")
+            self.flush(f"K:{layer}")
+
+
+def order_after(tid: Optional[int]) -> list[Move]:
+    """A zero-byte dependency on task ``tid`` (none when ``tid`` is None):
+    the next step on the same device starts after it."""
+    if tid is None:
+        return []
+    return [Move(tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
+                 src_task=tid, label="order")]
+
+
+def lms_task(
+    graph: TaskGraph,
+    kind: TaskKind,
+    first: int,
+    last: int,
+    device: int,
+    microbatches: tuple[int, ...],
+    swap: tuple[int, int],
+    label: str,
+    deps: Sequence[Move] = (),
+    always_swap: bool = False,
+    **fields,
+) -> Task:
+    """Emit one LMS-replayed schedule step and return its task.
+
+    ``swap`` is the step's ``(swap_in, swap_out)`` from
+    :meth:`LmsReplay.end_step`: the inputs are the ``lms-in`` swap then
+    ``deps``, the output the ``lms-out`` swap.  Empty swaps are left out
+    unless ``always_swap``.  Everything fetched across PCIe (host swaps
+    and peer transfers alike) occupies GPU memory while the task runs.
+    ``fields`` go to :class:`~repro.core.types.Task` unchanged.
+    """
+    swap_in, swap_out = swap
+    task = Task(tid=len(graph.tasks), kind=kind, first_layer=first,
+                last_layer=last, device=device, microbatches=microbatches,
+                label=label, **fields)
+    if swap_in or always_swap:
+        task.ins.append(Move(tensor=TensorKind.W, nbytes=swap_in,
+                             channel=Channel.SWAP, label="lms-in"))
+    task.ins.extend(deps)
+    if swap_out or always_swap:
+        task.outs.append(Move(tensor=TensorKind.DW, nbytes=swap_out,
+                              channel=Channel.SWAP, label="lms-out"))
+    task.resident_bytes = sum(
+        move.nbytes for move in task.ins if move.channel.crosses_pcie
+    )
+    graph.add(task)
+    return task
 
 
 @dataclass
@@ -157,6 +220,30 @@ class BaselineScheme:
     def plan(self) -> BaselinePlan:
         raise NotImplementedError
 
+    def _finish(self, graph: TaskGraph, microbatch: int, notes: str,
+                extra_host_bytes: int = 0) -> BaselinePlan:
+        """Validate ``graph`` and wrap it as this scheme's plan.  Host
+        memory holds the model state, any ``extra_host_bytes`` the scheme
+        keeps on top, and the minibatch's input samples."""
+        graph.validate()
+        host_state = (
+            self.model.model_state_bytes
+            + extra_host_bytes
+            + self.minibatch * self.model.sample_bytes
+        )
+        return BaselinePlan(
+            scheme=self.name,
+            model=self.model,
+            server=self.server,
+            minibatch=self.minibatch,
+            microbatch=microbatch,
+            decomposed=self.decomposed,
+            profiles=self.profiles,
+            graph=graph,
+            host_state_bytes=host_state,
+            notes=notes,
+        )
+
     # -- execution -------------------------------------------------------------------
 
     def run(self, plan: Optional[BaselinePlan] = None) -> RunMetrics:
@@ -172,8 +259,3 @@ class BaselineScheme:
             host_state_bytes=plan.host_state_bytes,
         )
         return executor.run(plan.graph)
-
-
-def run_baseline(scheme: BaselineScheme) -> RunMetrics:
-    """Plan and execute a baseline in one call."""
-    return scheme.run()

@@ -18,10 +18,17 @@ the left bars of Figure 9 and the dominant line of Figure 10.
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, LmsReplay
+from typing import Optional
+
+from repro.baselines.base import (
+    BaselinePlan,
+    BaselineScheme,
+    LmsReplay,
+    lms_task,
+    order_after,
+)
 from repro.core.config import microbatch_group
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
-from repro.graph.layer import Phase
+from repro.core.types import Channel, Move, TaskGraph, TaskKind, TensorKind
 
 
 def layer_chunks(profiles, max_bytes: int, max_layers: int = 32) -> list[tuple[int, int]]:
@@ -65,12 +72,12 @@ class DpSwapPlanner(BaselineScheme):
         chunks = layer_chunks(self.profiles, max_bytes=capacity // 8)
         profiles = self.profiles
 
-        graph = TaskGraph(mode="dp-swap", n_devices=n, pageable_swaps=True)
+        graph = TaskGraph(mode=self.name, n_devices=n, pageable_swaps=True)
         last_bwd_tid: dict[int, int] = {}
 
         for gpu in range(n):
             replay = LmsReplay(capacity)
-            prev_tid = None
+            prev_tid: Optional[int] = None
 
             # -- forward: all microbatches, stashing every activation ------
             for i, size in enumerate(mbs):
@@ -82,12 +89,12 @@ class DpSwapPlanner(BaselineScheme):
                             f"stash:{layer}:{i}",
                             profiles[layer].saved_for_backward_bytes(size),
                         )
-                    swap_in, swap_out = replay.end_step()
-                    prev_tid = self._emit(
-                        graph, TaskKind.FWD, gpu, first, last, size,
-                        swap_in, swap_out, prev_tid,
-                        label=f"F[{first}-{last}]mb{i}@g{gpu}",
-                    )
+                    # DP Swap stashes; it does not rematerialize.
+                    prev_tid = lms_task(
+                        graph, TaskKind.FWD, first, last, gpu, (size,),
+                        replay.end_step(), f"F[{first}-{last}]mb{i}@g{gpu}",
+                        order_after(prev_tid), recompute=False,
+                    ).tid
 
             # -- backward: reverse order, consuming stash, accumulating dW --
             for i in reversed(range(len(mbs))):
@@ -105,125 +112,35 @@ class DpSwapPlanner(BaselineScheme):
                             f"dW:{layer}", profiles[layer].param_bytes,
                             write=True,
                         )
-                    swap_in, swap_out = replay.end_step()
-                    prev_tid = self._emit(
-                        graph, TaskKind.BWD, gpu, first, last, size,
-                        swap_in, swap_out, prev_tid,
-                        label=f"B[{first}-{last}]mb{i}@g{gpu}",
-                    )
+                    prev_tid = lms_task(
+                        graph, TaskKind.BWD, first, last, gpu, (size,),
+                        replay.end_step(), f"B[{first}-{last}]mb{i}@g{gpu}",
+                        order_after(prev_tid), recompute=False,
+                    ).tid
             last_bwd_tid[gpu] = prev_tid
 
         # -- allreduce + weight update, per replica -------------------------
-        slots = self.model.optimizer_slots
+        # Ring allreduce: each replica receives ~2(N-1)/N |W| from its
+        # peers over p2p before it can apply the averaged gradient; the
+        # shards occupy GPU memory alongside the swapped-in state.
+        ring_bytes = int(2 * (n - 1) / n * profiles.total_param_bytes)
         for gpu in range(n):
             replay = LmsReplay(capacity)
             replay.begin_step()
-            for layer in range(len(profiles)):
-                replay.use(f"W:{layer}", profiles[layer].param_bytes, write=True)
-                replay.use(f"dW:{layer}", profiles[layer].param_bytes)
-                replay.use(
-                    f"K:{layer}",
-                    profiles[layer].param_bytes * slots,
-                    write=True,
-                )
-            for layer in range(len(profiles)):
-                replay.flush(f"W:{layer}")
-                replay.flush(f"K:{layer}")
-            swap_in, swap_out = replay.end_step()
-            task = Task(
-                tid=len(graph.tasks),
-                kind=TaskKind.UPD,
-                first_layer=0,
-                last_layer=len(profiles) - 1,
-                device=gpu,
-                microbatches=(1,),
-                label=f"U@g{gpu}",
-            )
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-            # Ring allreduce: each replica receives ~2(N-1)/N |W| from its
-            # peers over p2p before it can apply the averaged gradient.
-            ring_bytes = int(2 * (n - 1) / n * profiles.total_param_bytes)
-            for peer in range(n):
-                if peer == gpu:
-                    continue
-                task.ins.append(Move(
-                    tensor=TensorKind.DW,
-                    nbytes=ring_bytes // max(1, n - 1),
-                    channel=Channel.P2P,
-                    peer=peer,
-                    src_task=last_bwd_tid[peer],
-                    label=f"allreduce<-g{peer}",
-                ))
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-            # Swapped-in state plus the allreduce shards it receives all
-            # occupy GPU memory while the update runs.
-            task.resident_bytes = sum(
-                move.nbytes for move in task.ins if move.channel.crosses_pcie
-            )
-            graph.add(task)
+            replay.update(range(len(profiles)), profiles,
+                          self.model.optimizer_slots)
+            allreduce = [
+                Move(tensor=TensorKind.DW,
+                     nbytes=ring_bytes // max(1, n - 1),
+                     channel=Channel.P2P, peer=peer,
+                     src_task=last_bwd_tid[peer],
+                     label=f"allreduce<-g{peer}")
+                for peer in range(n) if peer != gpu
+            ]
+            lms_task(graph, TaskKind.UPD, 0, len(profiles) - 1, gpu, (1,),
+                     replay.end_step(), f"U@g{gpu}", allreduce,
+                     always_swap=True)
 
-        graph.validate()
-        host_state = (
-            self.model.model_state_bytes
-            + self.minibatch * self.model.sample_bytes
+        return self._finish(
+            graph, u, f"{len(mbs)} microbatches/GPU, {len(chunks)} layer chunks"
         )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{len(mbs)} microbatches/GPU, {len(chunks)} layer chunks",
-        )
-
-    def _emit(
-        self,
-        graph: TaskGraph,
-        kind: TaskKind,
-        gpu: int,
-        first: int,
-        last: int,
-        size: int,
-        swap_in: int,
-        swap_out: int,
-        prev_tid,
-        label: str,
-    ) -> int:
-        task = Task(
-            tid=len(graph.tasks),
-            kind=kind,
-            first_layer=first,
-            last_layer=last,
-            device=gpu,
-            microbatches=(size,),
-            recompute=False,  # DP Swap stashes; it does not rematerialize
-            label=label,
-        )
-        if swap_in:
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-        if prev_tid is not None:
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=prev_tid, label="order",
-            ))
-        if swap_out:
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-        task.resident_bytes = swap_in
-        graph.add(task)
-        return task.tid

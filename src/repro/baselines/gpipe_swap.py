@@ -12,16 +12,32 @@ tail's (Figure 2c).
 ``recompute=True`` gives the GP Swap (R) variant: stages checkpoint only
 their input and rematerialize in the backward pass, trading compute for a
 large reduction in stash traffic (the (R) bars of Figure 9).
+
+:class:`StagePipelinePlanner` is the stage-pipeline core GP Swap shares
+with 2BW Swap (:mod:`~repro.baselines.pipedream_2bw`): the two differ
+only in the order they run the same per-stage steps and in how many
+weight versions a stage keeps.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, LmsReplay
+from repro.baselines.base import (
+    BaselinePlan,
+    BaselineScheme,
+    LmsReplay,
+    lms_task,
+    order_after,
+)
 from repro.core.config import Pack, microbatch_group, packs_from_boundaries
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import Channel, Move, TaskGraph, TaskKind, TensorKind
 from repro.graph.layer import Phase
+
+#: one schedule step: ("F" or "B", stage, microbatch index)
+Step = tuple[str, int, int]
 
 
 def compute_balanced_stages(profiles, n_stages: int) -> tuple[Pack, ...]:
@@ -41,16 +57,26 @@ def compute_balanced_stages(profiles, n_stages: int) -> tuple[Pack, ...]:
     return packs_from_boundaries(boundaries[:n_stages], len(times))
 
 
-class GpipeSwapPlanner(BaselineScheme):
-    """Plan and run GP Swap / GP Swap (R)."""
+class StagePipelinePlanner(BaselineScheme):
+    """The stage-pipelined LMS baselines: N compute-balanced stages pinned
+    one per GPU, each stage's state virtualized by its own LMS replay.
 
-    name = "gp-swap"
+    Subclasses declare only the global step order (:meth:`steps`), the
+    number of weight versions a stage keeps (:attr:`versions`) and the
+    plan :meth:`notes`; the touch replay, the boundary ``act`` /
+    ``grad-act`` transfers and the end-of-iteration update live here.
+    ``recompute=True`` checkpoints each stage's input and rematerializes
+    in the backward pass (the ``-r`` variants).
+    """
+
+    #: weight versions per stage; step ``i`` uses version ``i % versions``
+    versions = 1
 
     def __init__(self, *args, recompute: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self.recompute = recompute
         if recompute:
-            self.name = "gp-swap-r"
+            self.name = f"{self.name}-r"
 
     def default_microbatch(self) -> int:
         """Pipelines need several microbatches per stage to fill (GPipe
@@ -59,187 +85,124 @@ class GpipeSwapPlanner(BaselineScheme):
         pipelined = max(1, self.minibatch // (4 * self.server.n_gpus))
         return min(fit, pipelined)
 
+    # -- to override ---------------------------------------------------------------
+
+    def steps(self, n_stages: int, n_mbs: int) -> Iterator[Step]:
+        """Every (kind, stage, microbatch) step, in emission order; a step
+        comes after the neighbouring-stage step it receives from."""
+        raise NotImplementedError
+
+    def notes(self, n_stages: int, n_mbs: int) -> str:
+        raise NotImplementedError
+
     # -- schedule -----------------------------------------------------------------
+
+    def _version(self, i: int) -> str:
+        """Weight-key suffix of microbatch ``i``'s weight version."""
+        return "" if self.versions == 1 else f"@{i % self.versions}"
+
+    def _replay(self, replay: LmsReplay, kind: str, s: int, stage: Pack,
+                i: int, size: int) -> None:
+        """Replay one step's tensor touches on stage ``s``'s GPU."""
+        profiles = self.profiles
+        weight = self._version(i)
+        if kind == "F":
+            for layer in stage.layers:
+                replay.use(f"W:{layer}{weight}", profiles[layer].param_bytes)
+                if not self.recompute:
+                    replay.produce(
+                        f"stash:{layer}:{i}",
+                        profiles[layer].saved_for_backward_bytes(size),
+                    )
+            if self.recompute:
+                replay.produce(
+                    f"ckpt:{s}:{i}", profiles.boundary_in_bytes(stage, size)
+                )
+            return
+        if self.recompute:
+            replay.use(f"ckpt:{s}:{i}", profiles.boundary_in_bytes(stage, size))
+            replay.drop(f"ckpt:{s}:{i}")
+        for layer in reversed(stage.layers):
+            replay.use(f"W:{layer}{weight}", profiles[layer].param_bytes)
+            stash = profiles[layer].saved_for_backward_bytes(size)
+            key = f"restash:{layer}" if self.recompute else f"stash:{layer}:{i}"
+            if self.recompute:
+                replay.produce(key, stash)
+            else:
+                replay.use(key, stash)
+            replay.drop(key)
+            replay.use(f"dW:{layer}", profiles[layer].param_bytes, write=True)
 
     def plan(self) -> BaselinePlan:
         n = self.server.n_gpus
         u = min(self.microbatch, self.minibatch)
         mbs = microbatch_group(self.minibatch, u)
         stages = compute_balanced_stages(self.profiles, n)
-        capacity = self.server.gpu.memory_bytes
         profiles = self.profiles
 
         graph = TaskGraph(mode=self.name, n_devices=n, pageable_swaps=True)
-        replays = [LmsReplay(capacity) for _ in range(n)]
-        fwd_tid: dict[tuple[int, int], int] = {}
-        bwd_tid: dict[tuple[int, int], int] = {}
-
-        # Forward phase: stage by stage per microbatch (pipelined by deps).
-        for i, size in enumerate(mbs):
-            for s, stage in enumerate(stages):
-                replay = replays[s]
-                replay.begin_step()
-                for layer in stage.layers:
-                    replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                    if not self.recompute:
-                        replay.produce(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                if self.recompute:
-                    replay.produce(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-                swap_in, swap_out = replay.end_step()
-                task = self._emit(
-                    graph, TaskKind.FWD, s, stage, size, swap_in, swap_out,
-                    label=f"F{s}mb{i}",
-                )
-                if s > 0:
-                    boundary = profiles.boundary_in_bytes(stage, size)
-                    task.ins.append(Move(
-                        tensor=TensorKind.X,
-                        nbytes=boundary,
-                        channel=Channel.P2P,
-                        peer=s - 1,
-                        src_task=fwd_tid[(s - 1, i)],
-                        label="act",
-                    ))
-                    task.resident_bytes += boundary
-                fwd_tid[(s, i)] = task.tid
-
-        # Backward phase (after the flush): reverse stages, reverse mbs.
-        for i in reversed(range(len(mbs))):
-            size = mbs[i]
-            for s in reversed(range(n)):
-                stage = stages[s]
-                replay = replays[s]
-                replay.begin_step()
-                if self.recompute:
-                    replay.use(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-                    replay.drop(f"ckpt:{s}:{i}")
-                for layer in reversed(list(stage.layers)):
-                    replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                    if self.recompute:
-                        replay.produce(
-                            f"restash:{layer}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                        replay.drop(f"restash:{layer}")
-                    else:
-                        replay.use(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                        replay.drop(f"stash:{layer}:{i}")
-                    replay.use(
-                        f"dW:{layer}", profiles[layer].param_bytes, write=True
-                    )
-                swap_in, swap_out = replay.end_step()
-                task = self._emit(
-                    graph, TaskKind.BWD, s, stage, size, swap_in, swap_out,
-                    label=f"B{s}mb{i}", recompute=self.recompute,
-                )
-                if s < n - 1:
-                    boundary = profiles.boundary_out_bytes(stage, size)
-                    task.ins.append(Move(
-                        tensor=TensorKind.DY,
-                        nbytes=boundary,
-                        channel=Channel.P2P,
-                        peer=s + 1,
-                        src_task=bwd_tid[(s + 1, i)],
-                        label="grad-act",
-                    ))
-                    task.resident_bytes += boundary
-                bwd_tid[(s, i)] = task.tid
-
-        # Per-stage weight update.
-        slots = self.model.optimizer_slots
-        for s, stage in enumerate(stages):
-            replay = replays[s]
-            replay.begin_step()
-            for layer in stage.layers:
-                replay.use(f"W:{layer}", profiles[layer].param_bytes, write=True)
-                replay.use(f"dW:{layer}", profiles[layer].param_bytes)
-                replay.use(
-                    f"K:{layer}", profiles[layer].param_bytes * slots,
-                    write=True,
-                )
-            for layer in stage.layers:
-                replay.flush(f"W:{layer}")
-                replay.flush(f"K:{layer}")
-            swap_in, swap_out = replay.end_step()
-            task = Task(
-                tid=len(graph.tasks),
-                kind=TaskKind.UPD,
-                first_layer=stage.first,
-                last_layer=stage.last,
-                device=s,
-                microbatches=(1,),
-                label=f"U{s}",
+        replays = [LmsReplay(self.server.gpu.memory_bytes) for _ in range(n)]
+        emitted: dict[Step, int] = {}
+        last_bwd: dict[int, int] = {}
+        for kind, s, i in self.steps(n, len(mbs)):
+            stage, size = stages[s], mbs[i]
+            replays[s].begin_step()
+            self._replay(replays[s], kind, s, stage, i, size)
+            deps: list[Move] = []
+            if kind == "F" and s > 0:
+                deps.append(Move(
+                    tensor=TensorKind.X,
+                    nbytes=profiles.boundary_in_bytes(stage, size),
+                    channel=Channel.P2P, peer=s - 1,
+                    src_task=emitted[("F", s - 1, i)], label="act",
+                ))
+            if kind == "B" and s < n - 1:
+                deps.append(Move(
+                    tensor=TensorKind.DY,
+                    nbytes=profiles.boundary_out_bytes(stage, size),
+                    channel=Channel.P2P, peer=s + 1,
+                    src_task=emitted[("B", s + 1, i)], label="grad-act",
+                ))
+            task = lms_task(
+                graph, TaskKind.FWD if kind == "F" else TaskKind.BWD,
+                stage.first, stage.last, s, (size,), replays[s].end_step(),
+                f"{kind}{s}mb{i}", deps,
+                recompute=self.recompute and kind == "B",
             )
-            if swap_in:
-                task.ins.append(Move(
-                    tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                    label="lms-in",
-                ))
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=bwd_tid[(s, 0)], label="order",
-            ))
-            if swap_out:
-                task.outs.append(Move(
-                    tensor=TensorKind.DW, nbytes=swap_out,
-                    channel=Channel.SWAP, label="lms-out",
-                ))
-            task.resident_bytes = swap_in
-            graph.add(task)
+            emitted[(kind, s, i)] = task.tid
+            if kind == "B":
+                last_bwd[s] = task.tid
 
-        graph.validate()
-        host_state = (
-            self.model.model_state_bytes
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{n} stages, {len(mbs)} microbatches, "
-                  f"recompute={'on' if self.recompute else 'off'}",
+        # Per-stage weight update at iteration end (Task's default
+        # recompute flag, like every update task).
+        for s, stage in enumerate(stages):
+            replays[s].begin_step()
+            replays[s].update(stage.layers, profiles,
+                              self.model.optimizer_slots, self._version(0))
+            lms_task(graph, TaskKind.UPD, stage.first, stage.last, s, (1,),
+                     replays[s].end_step(), f"U{s}", order_after(last_bwd[s]))
+
+        recompute = "on" if self.recompute else "off"
+        return self._finish(
+            graph, u, f"{self.notes(n, len(mbs))}, recompute={recompute}",
+            extra_host_bytes=(self.versions - 1) * self.model.weight_bytes,
         )
 
-    def _emit(self, graph, kind, device, stage, size, swap_in, swap_out,
-              label, recompute=False) -> Task:
-        task = Task(
-            tid=len(graph.tasks),
-            kind=kind,
-            first_layer=stage.first,
-            last_layer=stage.last,
-            device=device,
-            microbatches=(size,),
-            recompute=recompute,
-            label=label,
-        )
-        if swap_in:
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-        if swap_out:
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-        task.resident_bytes = swap_in
-        graph.add(task)
-        return task
+
+class GpipeSwapPlanner(StagePipelinePlanner):
+    """Plan and run GP Swap / GP Swap (R)."""
+
+    name = "gp-swap"
+
+    def steps(self, n_stages: int, n_mbs: int) -> Iterator[Step]:
+        """All forwards microbatch-major, then (after the flush) all
+        backwards in reverse."""
+        for i in range(n_mbs):
+            for s in range(n_stages):
+                yield "F", s, i
+        for i in reversed(range(n_mbs)):
+            for s in reversed(range(n_stages)):
+                yield "B", s, i
+
+    def notes(self, n_stages: int, n_mbs: int) -> str:
+        return f"{n_stages} stages, {n_mbs} microbatches"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.diagnostics import Waiver
-from repro.baselines.base import BaselinePlan, BaselineScheme
+from repro.baselines.base import BaselinePlan, BaselineScheme, order_after
 from repro.core.config import Pack, microbatch_group
 from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
 
@@ -103,12 +103,7 @@ class ZeroInfinityPlanner(BaselineScheme):
                         nbytes=profiles.pack_param_bytes(pack),
                         channel=Channel.SWAP, label=f"W{pack}",
                     ))
-                    if prev is not None:
-                        task.ins.append(Move(
-                            tensor=TensorKind.DW, nbytes=0,
-                            channel=Channel.LOCAL, src_task=prev,
-                            label="order",
-                        ))
+                    task.ins.extend(order_after(prev))
                     if pack.first > 0:
                         task.outs.append(Move(
                             tensor=TensorKind.CKPT,
@@ -139,12 +134,7 @@ class ZeroInfinityPlanner(BaselineScheme):
                         nbytes=profiles.boundary_in_bytes(pack, size),
                         channel=Channel.SWAP, label="ckpt",
                     ))
-                    if prev is not None:
-                        task.ins.append(Move(
-                            tensor=TensorKind.DW, nbytes=0,
-                            channel=Channel.LOCAL, src_task=prev,
-                            label="order",
-                        ))
+                    task.ins.extend(order_after(prev))
                     # Reduce-scatter to host: gradients leave per microbatch.
                     task.outs.append(Move(
                         tensor=TensorKind.DW,
@@ -173,21 +163,12 @@ class ZeroInfinityPlanner(BaselineScheme):
                 ))
             graph.add(task)
 
-        graph.validate()
-        host_state = int(
-            self.model.model_state_bytes * HOST_OVERHEAD
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u_b,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{len(packs)} packs, {len(mbs_f)}F/{len(mbs_b)}B "
-                  "microbatches/GPU, CPU optimizer",
+        return self._finish(
+            graph, u_b,
+            f"{len(packs)} packs, {len(mbs_f)}F/{len(mbs_b)}B "
+            "microbatches/GPU, CPU optimizer",
+            # the staging overhead on top of the raw model state
+            extra_host_bytes=int(
+                self.model.model_state_bytes * (HOST_OVERHEAD - 1)
+            ),
         )

@@ -139,6 +139,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _parse_scales(text: str) -> list[float]:
+    """argparse type: ``"1.5,0.75"`` -> ``[1.5, 0.75]``, each scale a
+    finite float > 0; empty items are skipped, an empty list rejected."""
+    try:
+        scales = [_positive_float(part) for part in text.split(",")
+                  if part.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad scale list {text!r}: {exc}")
+    if not scales:
+        raise argparse.ArgumentTypeError(f"no scales in {text!r}")
+    return scales
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type: a finite float >= 0."""
     value = _finite_float(text)
@@ -207,15 +220,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "bind", help="late-bind the logical plan onto a physical topology"
     )
     add_model_args(bind)
-    bind.add_argument("--physical", type=int, default=None,
+    bind.add_argument("--physical", type=_positive_int, default=None,
                       help="physical GPU count (default: the logical "
                            "count); fewer than --gpus time-slices several "
                            "logical devices per physical GPU")
-    bind.add_argument("--hetero", metavar="SCALES", default=None,
+    bind.add_argument("--hetero", metavar="SCALES", type=_parse_scales,
+                      default=None,
                       help="comma-separated per-physical-device FLOPs "
                            "scales, e.g. 1.5,1.5,0.75,0.75 (sets the "
                            "physical count; overrides --physical)")
-    bind.add_argument("--memory-scales", metavar="SCALES", default=None,
+    bind.add_argument("--memory-scales", metavar="SCALES",
+                      type=_parse_scales, default=None,
                       help="comma-separated per-physical-device memory "
                            "scales (default: 1.0 each)")
     bind.add_argument("--run", action="store_true",
@@ -300,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--partition-for", type=_positive_float, default=0.02,
                        help="scripted partition window length in virtual "
                             "seconds (default 0.02)")
-    chaos.add_argument("--hetero", metavar="SCALES", default=None,
+    chaos.add_argument("--hetero", metavar="SCALES", type=_parse_scales,
+                       default=None,
                        help="run the sweep on a heterogeneous bind of the "
                             "plan: comma-separated per-device FLOPs "
                             "scales, one per --gpus (single-server sweeps "
@@ -643,18 +659,6 @@ def _serve(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _parse_scales(text: str) -> list[float]:
-    """``"1.5,0.75"`` -> ``[1.5, 0.75]``; rejects empties and <= 0."""
-    try:
-        scales = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"malformed scale list {text!r}; expected "
-                         f"comma-separated numbers like 1.5,0.75")
-    if not scales or any(s <= 0 for s in scales):
-        raise SystemExit(f"scales must be positive numbers, got {text!r}")
-    return scales
-
-
 def _bind(args: argparse.Namespace) -> int:
     """The ``bind`` subcommand: late-bind a logical plan onto hardware.
 
@@ -672,9 +676,8 @@ def _bind(args: argparse.Namespace) -> int:
     harmony = _harmony(args)
     plan = harmony.plan()
     print(plan.describe())
-    flops = _parse_scales(args.hetero) if args.hetero else None
-    memory = (_parse_scales(args.memory_scales)
-              if args.memory_scales else None)
+    flops = args.hetero
+    memory = args.memory_scales
     if flops is None:
         n_physical = (args.physical if args.physical is not None
                       else args.gpus)
@@ -835,14 +838,15 @@ def _chaos(args: argparse.Namespace) -> int:
     harmony = _harmony(args)
     plan = harmony.plan()
     binding = None
+    # The scales as reported (banner and JSON): comma-joined floats.
+    hetero = ",".join(map(str, args.hetero)) if args.hetero else None
     if args.hetero:
         from repro.virt import DeviceBinding
 
-        scales = _parse_scales(args.hetero)
-        if len(scales) != args.gpus:
+        if len(args.hetero) != args.gpus:
             raise SystemExit(f"--hetero needs one scale per GPU "
-                             f"({args.gpus}), got {len(scales)}")
-        binding = DeviceBinding.heterogeneous(scales)
+                             f"({args.gpus}), got {len(args.hetero)}")
+        binding = DeviceBinding.heterogeneous(args.hetero)
         # One strict-analyzer certification up front; the sweep reuses
         # the bound plan across seeds.
         plan = harmony.bind(binding, plan=plan)
@@ -851,7 +855,7 @@ def _chaos(args: argparse.Namespace) -> int:
           f"{spec.describe()}"
           + (f", {args.devices_lost} device(s) lost at iteration "
              f"{args.lose_at}" if args.devices_lost else "")
-          + (f", heterogeneous bind x{args.hetero}" if args.hetero else ""))
+          + (f", heterogeneous bind x{hetero}" if hetero else ""))
     completed = failed = hard = 0
     records = []
     for seed in range(args.seed_base, args.seed_base + args.seeds):
@@ -907,7 +911,7 @@ def _chaos(args: argparse.Namespace) -> int:
             "iterations": args.iterations,
             "intensity": args.intensity,
             "devices_lost": args.devices_lost,
-            "hetero": args.hetero,
+            "hetero": hetero,
             "seed_base": args.seed_base,
             "seeds": args.seeds,
             "spec": spec.describe(),

@@ -457,11 +457,7 @@ class FaultTolerantRunner:
         state.graph = current
         if iterations > 1:
             for g in gpus:
-                g.swap_in_bytes //= iterations
-                g.swap_out_bytes //= iterations
-                g.p2p_in_bytes //= iterations
-                g.compute_busy /= iterations
-                g.cpu_busy /= iterations
+                g.average_over(iterations)
         return RunMetrics(
             mode=graph.mode,
             minibatch=minibatch,

@@ -179,13 +179,7 @@ class Executor:
             # Report per-iteration figures (counters accumulated over the
             # whole run).
             for g in self.metrics:
-                g.swap_in_bytes //= iterations
-                g.swap_out_bytes //= iterations
-                g.p2p_in_bytes //= iterations
-                g.compute_busy /= iterations
-                g.cpu_busy /= iterations
-                g.swap_busy /= iterations
-                g.p2p_busy /= iterations
+                g.average_over(iterations)
         if self.faults is not None:
             self.recovery.faults_injected += self.faults.total_injected
         run = RunMetrics(

@@ -49,6 +49,17 @@ class GpuMetrics:
             self.peak_resident_bytes, other.peak_resident_bytes
         )
 
+    def average_over(self, iterations: int) -> None:
+        """Turn counters summed over ``iterations`` iterations into
+        per-iteration figures (the peak stays a peak)."""
+        self.swap_in_bytes //= iterations
+        self.swap_out_bytes //= iterations
+        self.p2p_in_bytes //= iterations
+        self.compute_busy /= iterations
+        self.cpu_busy /= iterations
+        self.swap_busy /= iterations
+        self.p2p_busy /= iterations
+
 
 @dataclass
 class RecoveryMetrics:

@@ -31,6 +31,7 @@ elastic, and service layers can use it without cycles.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -161,12 +162,11 @@ class PhysicalDevice:
         if self.index < 0:
             raise ValueError(f"physical device index must be >= 0, "
                              f"got {self.index}")
-        if not self.flops_scale > 0:
-            raise ValueError(f"flops_scale must be > 0, "
-                             f"got {self.flops_scale}")
-        if not self.memory_scale > 0:
-            raise ValueError(f"memory_scale must be > 0, "
-                             f"got {self.memory_scale}")
+        for name in ("flops_scale", "memory_scale"):
+            scale = getattr(self, name)
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {scale}")
 
     def memory_bytes(self, base_bytes: int) -> int:
         """Exact scaled capacity: ``int(Fraction(scale) * base)``."""

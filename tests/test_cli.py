@@ -82,6 +82,13 @@ class TestUsageErrors:
            bad] for bad in ("-1", "0", "nan")),
         ["bench", "--workers", "0"],
         ["trace", "toy-transformer", "--ring", "0"],
+        *(["bind", "toy-transformer", flag, bad]
+          for flag in ("--hetero", "--memory-scales")
+          for bad in ("inf,1,1,1", "nan,1,1,1", "1e400,1,1,1", "0,1,1,1",
+                      ",")),
+        *(["chaos", "toy-transformer", "--hetero", bad]
+          for bad in ("nan,1", "inf,1", "1,-1")),
+        ["bind", "toy-transformer", "--physical", "0"],
     ], ids="_".join)
     def test_rejected_at_the_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

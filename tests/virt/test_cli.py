@@ -72,16 +72,16 @@ def test_memory_scales_length_mismatch_is_usage_error():
     assert "bad topology" in str(exc.value)
 
 
-def test_memory_scales_must_be_positive_numbers():
-    with pytest.raises(SystemExit) as exc:
-        main(ARGS + ["--memory-scales", "1.0,1.0,1.0,0.0"])
-    assert "positive" in str(exc.value)
-    with pytest.raises(SystemExit) as exc:
-        main(ARGS + ["--memory-scales", "1.0,1.0,-0.5,1.0"])
-    assert "positive" in str(exc.value)
-    with pytest.raises(SystemExit) as exc:
-        main(ARGS + ["--memory-scales", "big,small,1.0,1.0"])
-    assert "malformed" in str(exc.value)
+def test_memory_scales_must_be_positive_numbers(capsys):
+    for scales, reason in [("1.0,1.0,1.0,0.0", "must be > 0"),
+                           ("1.0,1.0,-0.5,1.0", "must be > 0"),
+                           ("big,small,1.0,1.0", "invalid float value")]:
+        with pytest.raises(SystemExit) as exc:
+            main(ARGS + ["--memory-scales", scales])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --memory-scales: bad scale list" in err
+        assert reason in err
 
 
 def test_chaos_hetero_sweep(tmp_path):
