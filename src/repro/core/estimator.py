@@ -16,9 +16,11 @@ configuration in microseconds, enabling the sweep of Algorithm 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.core.config import Pack
 from repro.core.profiler import ModelProfiles
-from repro.core.taskgraph import mb_dependency
+from repro.core.taskgraph import Placement, mb_dependency
 from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
 from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
@@ -32,6 +34,11 @@ class _TaskTimes:
     mb_done: list[float]
     done: float
     outs_flushed: float
+
+
+def _remat(task: Task) -> bool:
+    """A backward task re-runs its forward when fused or rematerializing."""
+    return task.kind is TaskKind.BWD and (task.fused or task.recompute)
 
 
 class RuntimeEstimator:
@@ -56,7 +63,6 @@ class RuntimeEstimator:
         # every entry (see _sync_cache).
         self._cache_enabled = perf_enabled()
         self._time_cache: dict[tuple, float] = {}
-        self._dep_maps: dict[tuple, tuple[int, ...]] = {}
         self._profiles_token = profiles.cache_token
 
     def _sync_cache(self) -> None:
@@ -69,46 +75,51 @@ class RuntimeEstimator:
     # -- task timing from regressed profiles -------------------------------------
 
     def mb_time(self, task: Task, u: int) -> float:
-        if task.kind is TaskKind.FWD:
-            key = (TaskKind.FWD, task.first_layer, task.last_layer, u, False)
-        elif task.kind is TaskKind.BWD:
-            key = (TaskKind.BWD, task.first_layer, task.last_layer, u,
-                   task.fused or task.recompute)
-        else:
+        if task.kind is TaskKind.UPD:
             raise ValueError("update tasks timed separately")
+        return self._pass_time(task.kind, task.first_layer, task.last_layer,
+                               u, _remat(task))
+
+    def _pass_time(self, kind: TaskKind, first: int, last: int, u: int,
+                   remat: bool) -> float:
+        """One microbatch of a pass over layers ``first..last`` (a GPU
+        update's whole run for UPD); ``remat`` adds the forward a fused or
+        rematerializing backward re-runs."""
+        key = (kind, first, last, u, remat)
         if self._cache_enabled:
             self._sync_cache()
             cached = self._time_cache.get(key)
             if cached is not None:
                 return cached
-        value = self._mb_time_uncached(task, u)
+        value = self._pass_time_uncached(kind, Pack(first, last), u, remat)
         if self._cache_enabled:
             self._time_cache[key] = value
         return value
 
     def _mb_time_uncached(self, task: Task, u: int) -> float:
-        layers = task.layers
-        if task.kind is TaskKind.FWD:
-            return sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
-        bwd = sum(self.profiles[i].time(Phase.BWD, u) for i in layers)
-        if task.fused or task.recompute:
-            bwd += sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
+        """:meth:`mb_time` without the cache (the tests' oracle)."""
+        return self._pass_time_uncached(
+            task.kind, Pack(task.first_layer, task.last_layer), u,
+            _remat(task),
+        )
+
+    def _pass_time_uncached(self, kind: TaskKind, pack: Pack, u: int,
+                            remat: bool) -> float:
+        if kind is TaskKind.UPD:
+            return self.profiles.pack_time(Phase.UPD, pack, 1)
+        if kind is TaskKind.FWD:
+            return self.profiles.pack_time(Phase.FWD, pack, u)
+        bwd = self.profiles.pack_time(Phase.BWD, pack, u)
+        if remat:
+            bwd += self.profiles.pack_time(Phase.FWD, pack, u)
         return bwd
 
     def update_time(self, task: Task, n_gpus: int) -> float:
         if task.on_cpu:
             cores = max(1, self.server.host.cores // max(1, n_gpus))
             return self.server.host.optimizer_time(task.compute_flops, cores)
-        if not self._cache_enabled:
-            return sum(self.profiles[i].time(Phase.UPD, 1) for i in task.layers)
-        self._sync_cache()
-        key = (TaskKind.UPD, task.first_layer, task.last_layer, 1, False)
-        cached = self._time_cache.get(key)
-        if cached is None:
-            cached = self._time_cache[key] = sum(
-                self.profiles[i].time(Phase.UPD, 1) for i in task.layers
-            )
-        return cached
+        return self._pass_time(TaskKind.UPD, task.first_layer,
+                               task.last_layer, 1, False)
 
     def _xfer(self, move: Move, nbytes: int) -> float:
         if move.channel is Channel.LOCAL or nbytes == 0:
@@ -121,7 +132,8 @@ class RuntimeEstimator:
 
     # -- the estimate -----------------------------------------------------------------
 
-    def estimate(self, graph: TaskGraph) -> float:
+    def estimate_graph(self, graph: TaskGraph) -> float:
+        """The estimated iteration time of ``graph``."""
         n = graph.n_devices
         compute_free = [0.0] * n
         swap_in_free = [0.0] * n
@@ -165,7 +177,7 @@ class RuntimeEstimator:
                     continue
                 chunk = move.nbytes / len(mbs) if mbs else 0.0
                 for i in range(len(mbs)):
-                    dep = self._chunk_dep(move, task, i, times)
+                    dep = self._chunk_dep(graph, move, task, i, times)
                     if move.channel is Channel.LOCAL:
                         input_ready[i] = max(input_ready[i], dep)
                         continue
@@ -175,10 +187,11 @@ class RuntimeEstimator:
                     lane[d] = end
                     input_ready[i] = max(input_ready[i], end)
 
+            durations = {u: self.mb_time(task, u) for u in set(mbs)}
             mb_done = []
             for i, u in enumerate(mbs):
                 begin = max(compute_free[d], input_ready[i])
-                end = begin + self.mb_time(task, u)
+                end = begin + durations[u]
                 compute_free[d] = end
                 mb_done.append(end)
             done = mb_done[-1]
@@ -205,26 +218,63 @@ class RuntimeEstimator:
 
         return finish
 
-    def _chunk_dep(self, move: Move, task: Task, mb_index: int,
-                   times: list[_TaskTimes]) -> float:
+    def lower_bound(self, placements: Sequence[Placement]) -> float:
+        """An admissible lower bound on :meth:`estimate_graph` for the graph
+        the builder emits from ``placements``, computed without building it.
+
+        The estimate is a max-plus recurrence whose per-device lanes only
+        move forward, so this folds, in graph order, two of its lanes per
+        device with the same additions: the state swap-in (each task's
+        pack weights) and the compute lane (each microbatch's
+        :meth:`mb_time`, a task's first microbatch waiting for its state).
+        A chained pass also waits for its chain predecessor's first
+        microbatch, which is the pipeline fill across devices in PP.  Every
+        term it drops (activation transfers, swap-outs, updates) only
+        delays the estimate, and rounded addition is monotone, so the
+        bound never exceeds the estimate, bit for bit.
+        """
+        n = 1 + max(p.device for p in placements)
+        compute = [0.0] * n
+        swap_in = [0.0] * n
+        first_done = 0.0  # the previous placement's first microbatch
+        for p in placements:
+            d = p.device
+            first, last = p.pack.first, p.pack.last
+            # The builder's backward tasks keep Task.recompute on, and a
+            # group differs from ``u`` only in its last microbatch.
+            remat = p.kind is TaskKind.BWD
+            durations = {
+                u: self._pass_time(p.kind, first, last, u, remat)
+                for u in {p.groups[0][0], p.groups[-1][-1]}
+            }
+            state = self.profiles.pack_param_bytes(p.pack) / self._swap_bw
+            chain = first_done if p.chained else 0.0
+            c, s = compute[d], swap_in[d]
+            for i, group in enumerate(p.groups):
+                if not self.prefetch:
+                    s = max(s, c)
+                s = s + state
+                c = max(c, s, chain) + durations[group[0]]
+                if i == 0:
+                    first_done = c
+                for u in group[1:]:
+                    c = c + durations[u]
+            compute[d], swap_in[d] = c, s
+        return max(compute)
+
+    def _chunk_dep(self, graph: TaskGraph, move: Move, task: Task,
+                   mb_index: int, times: list[_TaskTimes]) -> float:
         if move.src_task is None:
             return 0.0
         producer = times[move.src_task]
         if move.channel is Channel.SWAP:
             return producer.outs_flushed
-        src_sizes = self._producer_sizes.get(move.src_task)
-        if src_sizes is None or sum(src_sizes) != task.group_samples:
+        src_sizes = graph.tasks[move.src_task].microbatches
+        if sum(src_sizes) != task.group_samples:
             return producer.done
-        # Pure function of the two size tuples; the same producer/consumer
-        # granularity pair recurs for every microbatch chunk and across
-        # candidate graphs, so memoize the map (bit-identical by purity).
-        dep_key = (src_sizes, task.microbatches)
-        dep_map = self._dep_maps.get(dep_key)
-        if dep_map is None:
-            dep_map = self._dep_maps[dep_key] = tuple(
-                mb_dependency(src_sizes, task.microbatches)
-            )
-        return producer.mb_done[dep_map[mb_index]]
+        return producer.mb_done[
+            mb_dependency(src_sizes, task.microbatches)[mb_index]
+        ]
 
     def _estimate_update(self, task: Task, times: list[_TaskTimes],
                          cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
@@ -249,22 +299,3 @@ class RuntimeEstimator:
             end = begin + duration + out_bytes / self._swap_bw
             compute_free[d] = end
         return _TaskTimes([end], end, end)
-
-    # Populated lazily per estimate() call; kept as an attribute so the
-    # chunk-dependency helper stays small.
-    @property
-    def _producer_sizes(self) -> dict[int, tuple[int, ...]]:
-        return self.__dict__.setdefault("_producer_sizes_cache", {})
-
-    def prepare(self, graph: TaskGraph) -> None:
-        self.__dict__["_producer_sizes_cache"] = {
-            task.tid: task.microbatches for task in graph.tasks
-        }
-
-    def estimate_graph(self, graph: TaskGraph) -> float:
-        """Public entry: estimate with producer-size context prepared."""
-        self.prepare(graph)
-        try:
-            return self.estimate(graph)
-        finally:
-            self.__dict__["_producer_sizes_cache"] = {}

@@ -58,37 +58,34 @@ def _split_packs(times: Sequence[float], n_packs: int) -> Optional[tuple[Pack, .
     boundaries = [0] + sorted(set(int(c) for c in cuts))
     if len(boundaries) != n_packs:
         return None
-    boundaries = _refine_boundaries(prefix, boundaries)
+    boundaries = _refine_boundaries(prefix.tolist(), boundaries)
     return packs_from_boundaries(boundaries, n_layers)
 
 
-def _refine_boundaries(prefix: np.ndarray, boundaries: list[int]) -> list[int]:
+def _refine_boundaries(prefix: list[float], boundaries: list[int]) -> list[int]:
     """Local search shaving the longest pack: nudge each cut one layer at a
     time while it reduces the maximum pack time.  Quantile cuts land within
     one layer of optimal; this removes that rounding (a straggler pack is a
-    straggler *pipeline stage*, so the last layer matters)."""
+    straggler *pipeline stage*, so the last layer matters).  ``prefix`` is
+    a plain list: Python float arithmetic is the same IEEE double
+    arithmetic as numpy's scalars, without their per-operation overhead."""
     n_layers = len(prefix)
-
-    def pack_time(first: int, last_exclusive: int) -> float:
-        left = prefix[first - 1] if first > 0 else 0.0
-        return float(prefix[last_exclusive - 1] - left)
-
     improved = True
     while improved:
         improved = False
         for i in range(1, len(boundaries)):
-            lo = boundaries[i - 1] + 1
-            hi = boundaries[i + 1] - 1 if i + 1 < len(boundaries) else n_layers - 1
-            cur = boundaries[i]
+            # Cut ``boundaries[i]`` splits [left_first, right_end) in two.
             left_first = boundaries[i - 1]
             right_end = boundaries[i + 1] if i + 1 < len(boundaries) else n_layers
-            best_cut, best_cost = cur, max(
-                pack_time(left_first, cur), pack_time(cur, right_end)
-            )
+            base = prefix[left_first - 1] if left_first > 0 else 0.0
+            total = prefix[right_end - 1]
+            cur = boundaries[i]
+            best_cut = cur
+            best_cost = max(prefix[cur - 1] - base, total - prefix[cur - 1])
             for cut in (cur - 1, cur + 1):
-                if not lo <= cut <= hi:
+                if not left_first < cut < right_end:
                     continue
-                cost = max(pack_time(left_first, cut), pack_time(cut, right_end))
+                cost = max(prefix[cut - 1] - base, total - prefix[cut - 1])
                 if cost < best_cost - 1e-12:
                     best_cut, best_cost = cut, cost
             if best_cut != cur:

@@ -108,11 +108,11 @@ class ModelProfiles:
     - **integer** aggregates (memory footprints, parameter bytes) come
       from prefix-sum tables -- Python ints, so the prefix difference is
       *exactly* the naive sum, bit for bit;
-    - **float** aggregates (pack times, update FLOPs) are memoized whole:
-      the cached value was computed once with the very same left-to-right
-      summation order the naive code uses, so a hit returns the identical
-      bit pattern (prefix differences would NOT be bit-stable for
-      floats, which is why they are only used for ints).
+    - **float** aggregates keep the naive left-to-right summation order,
+      so they return the identical bit pattern (prefix differences would
+      NOT be bit-stable for floats, which is why they are only used for
+      ints): pack times sum a slice of the memoized per-layer time tuple,
+      and update FLOPs are memoized whole.
 
     Mutating a profile after construction must go through
     :meth:`replace_layer` (or be followed by :meth:`invalidate_caches`),
@@ -196,12 +196,14 @@ class ModelProfiles:
 
     # -- per-layer lists used by Algorithm 2 ---------------------------------
 
-    def time_list(self, phase: Phase, u: int) -> list[float]:
-        times = self.memo(
+    def _times(self, phase: Phase, u: int) -> tuple[float, ...]:
+        return self.memo(
             ("times", phase, u),
             lambda: tuple(layer.time(phase, u) for layer in self.layers),
         )
-        return list(times)
+
+    def time_list(self, phase: Phase, u: int) -> list[float]:
+        return list(self._times(phase, u))
 
     def memory_list(self, phase: Phase, u: int) -> list[int]:
         prefix = self._mem_prefix(phase, u)
@@ -216,10 +218,9 @@ class ModelProfiles:
         return prefix[pack.last + 1] - prefix[pack.first]
 
     def pack_time(self, phase: Phase, pack: Pack, u: int) -> float:
-        return self.memo(
-            ("ptime", phase, pack.first, pack.last, u),
-            lambda: sum(self.layers[i].time(phase, u) for i in pack.layers),
-        )
+        if not self._memo_enabled:
+            return sum(self.layers[i].time(phase, u) for i in pack.layers)
+        return sum(self._times(phase, u)[pack.first:pack.last + 1])
 
     def pack_fwd_memory(self, pack: Pack, u: int) -> int:
         """Footprint of a forward task, following Algorithm 2 line 13:

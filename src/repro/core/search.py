@@ -2,9 +2,11 @@
 
 Sweeps backward microbatch sizes, derives backward packs (Algorithm 2),
 then sweeps forward microbatch sizes with forward packs constrained so the
-last forward pack equals the last backward pack (jit-compute); every
-candidate four-tuple is turned into a task graph (Algorithm 3) and scored
-by the Runtime Estimator.  The minimum-estimate configuration wins.
+last forward pack equals the last backward pack (jit-compute); candidate
+four-tuples are turned into task graphs (Algorithm 3) and scored by the
+Runtime Estimator.  The minimum-estimate configuration wins.  A cheap
+admissible lower bound on each candidate's estimate orders the sweep and
+prunes the candidates that cannot win before their graph is built.
 
 The paper sweeps every integer microbatch size up to ``U_MAX``; by default
 we sweep divisors of the minibatch plus powers of two (a documented knob
@@ -15,11 +17,12 @@ search times close to the paper's reported seconds.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.errors import InfeasibleConfigError, SchedulingError
 from repro.core.config import Configuration
@@ -46,11 +49,12 @@ class SearchSettings:
     # Equi-FB (Table 4): reuse the backward packs and microbatch size for
     # the forward pass instead of searching them independently.
     equi_fb: bool = False
-    # Candidate evaluators: 1 evaluates serially in-process; > 1 fans the
-    # per-(U, P) candidate graph builds and estimates out over a forked
-    # process pool with a deterministic (submission-order) reduce, so the
-    # winner is bit-identical to the serial sweep.  Ignored (serial) when
-    # REPRO_PERF_DISABLE is set or the platform cannot fork.
+    # Candidate evaluators: 1 evaluates serially in-process; > 1 fans
+    # chunks of the bound-ordered visit (graph builds and estimates) out
+    # over a forked process pool and replays the serial stopping rule, so
+    # the explored set and the winner are bit-identical to the serial
+    # sweep.  Ignored (serial) when REPRO_PERF_DISABLE is set or the
+    # platform cannot fork.
     workers: int = 1
 
 
@@ -64,19 +68,31 @@ class Explored:
 
 @dataclass
 class SearchResult:
+    """The winner plus what the sweep did to find it.
+
+    ``explored`` holds the candidates actually built and estimated, in
+    enumeration order; ``n_feasible`` counts every enumerated candidate
+    (packing is the only feasibility filter, so none is rejected later)
+    and ``n_pruned`` those the lower bound ruled out unbuilt.
+    ``n_infeasible`` stays 0 for the search; it is kept for report
+    schemas that carry it.
+    """
+
     best: Configuration
     best_estimate: float
     explored: list[Explored] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     n_feasible: int = 0
     n_infeasible: int = 0
+    n_pruned: int = 0
 
     def describe(self) -> str:
         return (
             f"best {self.best.describe()} "
             f"(est. {self.best_estimate:.3f}s/iter; "
             f"{self.n_feasible} feasible / {self.n_infeasible} infeasible "
-            f"configs in {self.elapsed_seconds:.1f}s)"
+            f"configs ({self.n_pruned} pruned by bound) in "
+            f"{self.elapsed_seconds:.1f}s)"
         )
 
 
@@ -183,11 +199,12 @@ class ConfigurationSearch:
                     pass
         return candidates
 
-    def _enumerate_candidates(self) -> list[Configuration]:
-        """Lines 1-8 of Algorithm 1: the deduplicated candidate four-tuples,
-        in the exact order the original nested sweep visited them.  Packing
-        (Algorithm 2) runs here, serially and memoized; only the expensive
-        per-candidate graph build + estimate is fanned out."""
+    def candidates(self) -> list[Configuration]:
+        """Lines 1-8 of Algorithm 1: every deduplicated candidate
+        four-tuple, in the order the nested sweep visits them (the
+        enumeration order).  Packing (Algorithm 2) runs here, serially and
+        memoized; only the per-candidate graph build + estimate is fanned
+        out."""
         local = self.minibatch
         if self.options.mode == "dp":
             if self.minibatch % self.server.n_gpus:
@@ -218,46 +235,34 @@ class ConfigurationSearch:
                         ))
         return candidates
 
-    def _evaluate_one(self, config: Configuration) -> Optional[float]:
-        """Build + estimate one candidate; None when infeasible."""
-        try:
-            graph = self.builder.build(config)
-            return self.estimator.estimate_graph(graph)
-        except InfeasibleConfigError:
-            return None
+    def estimate(self, config: Configuration) -> float:
+        """Build one candidate's task graph and estimate its iteration."""
+        return self.estimator.estimate_graph(self.builder.build(config))
 
-    def _evaluate_serial(
-        self, candidates: list[Configuration]
-    ) -> list[Optional[float]]:
-        return [self._evaluate_one(config) for config in candidates]
-
-    def _evaluate_parallel(
-        self, candidates: list[Configuration], workers: int
-    ) -> list[Optional[float]]:
-        """Fan candidate evaluation over a forked process pool.
-
-        Each worker builds its own graph builder + estimator from the
-        shared profiles (sent once, at pool init); a candidate's estimate
-        is a pure function of (profiles, server, options, candidate), so
-        the value computed in a worker is bit-identical to the serial
-        path no matter which worker ran it or in what order.  ``map``
-        returns results in submission order, so the reduce below is the
-        deterministic serial reduce.
-        """
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(candidates) // (4 * workers))
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(candidates)),
-            mp_context=ctx,
-            initializer=_init_eval_worker,
-            initargs=(self.profiles, self.server, self.minibatch,
-                      self.options),
-        ) as pool:
-            return list(pool.map(_eval_candidate, candidates, chunksize=chunk))
+    def lower_bound(self, config: Configuration) -> float:
+        """An admissible lower bound on :meth:`estimate`, without a graph."""
+        return self.estimator.lower_bound(self.builder.placements(config))
 
     def search(self) -> SearchResult:
+        """Algorithm 1's sweep, bound-and-prune.
+
+        Candidates are visited by ``(lower bound, enumeration index)`` and
+        the visit stops at the first bound strictly greater than the best
+        estimate so far: every candidate after it has an estimate at least
+        its bound, so none can win.  Among equal estimates the lowest
+        enumeration index wins, so the winner is the full sweep's first
+        strict minimum, while a pruned candidate costs no graph build,
+        validation or estimate.
+        """
         start = time.perf_counter()
-        candidates = self._enumerate_candidates()
+        candidates = self.candidates()
+        if not candidates:
+            raise InfeasibleConfigError(
+                f"no feasible configuration for minibatch {self.minibatch} "
+                f"on {self.server.describe()}"
+            )
+        bounds = [self.lower_bound(config) for config in candidates]
+        order = sorted(range(len(candidates)), key=bounds.__getitem__)
 
         workers = self.settings.workers
         use_pool = (
@@ -267,37 +272,74 @@ class ConfigurationSearch:
             and "fork" in multiprocessing.get_all_start_methods()
         )
         if use_pool:
-            estimates = self._evaluate_parallel(candidates, workers)
+            estimates = self._visit_parallel(candidates, bounds, order,
+                                             workers)
         else:
-            estimates = self._evaluate_serial(candidates)
+            estimates = _visit(order, bounds, 1, lambda chunk: [
+                self.estimate(candidates[i]) for i in chunk
+            ])
 
-        # Deterministic reduce in enumeration order: the first strict
-        # minimum wins, exactly as the serial sweep picked it.
-        best: Optional[Explored] = None
-        explored: list[Explored] = []
-        infeasible = 0
-        for config, estimate in zip(candidates, estimates):
-            if estimate is None:
-                infeasible += 1
-                continue
-            entry = Explored(config=config, estimate=estimate)
-            explored.append(entry)
-            if best is None or estimate < best.estimate:
-                best = entry
-
-        if best is None:
-            raise InfeasibleConfigError(
-                f"no feasible configuration for minibatch {self.minibatch} "
-                f"on {self.server.describe()}"
-            )
+        best = min(estimates, key=lambda i: (estimates[i], i))
         return SearchResult(
-            best=best.config,
-            best_estimate=best.estimate,
-            explored=explored,
+            best=candidates[best],
+            best_estimate=estimates[best],
+            explored=[Explored(candidates[i], estimates[i])
+                      for i in sorted(estimates)],
             elapsed_seconds=time.perf_counter() - start,
-            n_feasible=len(explored),
-            n_infeasible=infeasible,
+            n_feasible=len(candidates),
+            n_pruned=len(candidates) - len(estimates),
         )
+
+    def _visit_parallel(self, candidates: list[Configuration],
+                        bounds: list[float], order: list[int],
+                        workers: int) -> dict[int, float]:
+        """The serial visit, with each chunk of the order estimated over a
+        forked process pool.
+
+        Each worker builds its own graph builder + estimator from the
+        shared profiles (sent once, at pool init); a candidate's estimate
+        is a pure function of (profiles, server, options, candidate), so
+        the value computed in a worker is bit-identical to the serial
+        path.  ``map`` returns a chunk in submission order and
+        :func:`_visit` replays the serial stopping rule over it, dropping
+        any speculative extras past the stop.
+        """
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(candidates)),
+            mp_context=ctx,
+            initializer=_init_eval_worker,
+            initargs=(self.profiles, self.server, self.minibatch,
+                      self.options),
+        ) as pool:
+            return _visit(order, bounds, 2 * workers, lambda chunk: list(
+                pool.map(_eval_candidate, [candidates[i] for i in chunk])
+            ))
+
+
+def _visit(order: list[int], bounds: list[float], chunk_size: int,
+           evaluate: Callable[[list[int]], list[float]]) -> dict[int, float]:
+    """Estimate candidates in ``order`` (ascending bound) until the next
+    bound is strictly greater than the best estimate so far.
+
+    ``evaluate`` estimates a chunk of candidate indices at once.  A chunk
+    is cut at the stopping rule as of its start; the best can only fall
+    within a chunk, so the rule is replayed per candidate and estimates
+    past the stop are discarded.  Returns the estimates of exactly the
+    candidates a one-at-a-time visit evaluates.
+    """
+    estimates: dict[int, float] = {}
+    best = math.inf
+    for pos in range(0, len(order), chunk_size):
+        chunk = [i for i in order[pos:pos + chunk_size] if bounds[i] <= best]
+        if not chunk:
+            break
+        for i, estimate in zip(chunk, evaluate(chunk)):
+            if bounds[i] > best:
+                return estimates
+            estimates[i] = estimate
+            best = min(best, estimate)
+    return estimates
 
 
 # -- process-pool plumbing --------------------------------------------------------
@@ -322,11 +364,7 @@ def _init_eval_worker(
     _EVAL_STATE = (builder, estimator)
 
 
-def _eval_candidate(config: Configuration) -> Optional[float]:
+def _eval_candidate(config: Configuration) -> float:
     assert _EVAL_STATE is not None, "worker used before initialization"
     builder, estimator = _EVAL_STATE
-    try:
-        graph = builder.build(config)
-        return estimator.estimate_graph(graph)
-    except InfeasibleConfigError:
-        return None
+    return estimator.estimate_graph(builder.build(config))

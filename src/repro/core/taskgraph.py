@@ -27,8 +27,10 @@ ablations can turn them off one at a time:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from itertools import groupby
+from typing import NamedTuple, Optional
 
 from repro.common.errors import SchedulingError
 from repro.core.config import Configuration, Pack, microbatch_group
@@ -77,12 +79,16 @@ class _Producers:
         )
 
 
-def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ...]) -> list[int]:
+@functools.cache
+def mb_dependency(producer_sizes: tuple[int, ...],
+                  consumer_sizes: tuple[int, ...]) -> tuple[int, ...]:
     """For each consumer microbatch, the producer microbatch index whose
     completion makes the consumer's samples fully available.
 
-    Used by the Runtime where forward (``U_F``) and backward (``U_B``)
-    granularities meet inside a grouped task pair.
+    Used by the Runtime, the estimator and the trace invariants where
+    forward (``U_F``) and backward (``U_B``) granularities meet inside a
+    grouped task pair.  A pure function of the two size tuples, memoized:
+    the same pair recurs for every chunk of every task.
     """
     if sum(producer_sizes) != sum(consumer_sizes):
         raise SchedulingError(
@@ -99,7 +105,24 @@ def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ..
             producer_idx += 1
             produced += producer_sizes[producer_idx]
         deps.append(producer_idx)
-    return deps
+    return tuple(deps)
+
+
+class Placement(NamedTuple):
+    """One pass of a pack over a device's share of the minibatch.
+
+    The builder emits one task per microbatch group; ``chained`` marks a
+    pass whose first microbatch consumes the previous placement's first
+    microbatch (the activation or gradient chain), so it cannot start
+    before that one finishes.
+    """
+
+    kind: TaskKind                          # FWD or BWD
+    pack: Pack
+    device: int
+    groups: tuple[tuple[int, ...], ...]     # microbatch sizes per task
+    fused: bool                             # jit-compute forward+backward
+    chained: bool
 
 
 class HarmonyGraphBuilder:
@@ -126,11 +149,57 @@ class HarmonyGraphBuilder:
     def build(self, config: Configuration) -> TaskGraph:
         config.validate(len(self.profiles))
         if self.options.mode == "pp":
-            graph = self._build_pp(config)
-        else:
-            graph = self._build_dp(config)
-        self._graph = None
-        return graph
+            return self._build_pp(config)
+        return self._build_dp(config)
+
+    def placements(self, config: Configuration) -> tuple[Placement, ...]:
+        """Every pass of one iteration, in task-graph order.
+
+        Forward packs (minus the jit-compute tail), then backward packs in
+        reverse.  Harmony PP binds pass ``i`` to GPU ``i mod N`` (the
+        wrap-around); Harmony DP runs the whole sequence on every GPU over
+        its share of the minibatch.  The graph builders and the estimator's
+        lower bound both read the binding from here.
+        """
+        fuse_last = self.options.jit and config.jit_compute_aligned
+        fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
+        samples = (self.minibatch if self.options.mode == "pp"
+                   else self._dp_share())
+        fwd_groups = self._groups(samples, config.u_f)
+        bwd_groups = self._groups(samples, config.u_b)
+        passes = [(TaskKind.FWD, pack, fwd_groups, False, pack.first > 0)
+                  for pack in fwd_packs]
+        for pos, pack in enumerate(reversed(config.packs_b)):
+            fused = fuse_last and pos == 0
+            chained = pack.first > 0 if fused else pos > 0
+            passes.append((TaskKind.BWD, pack, bwd_groups, fused, chained))
+        if self.options.mode == "pp":
+            return tuple(
+                Placement(kind, pack, i % self.n_gpus, groups, fused, chained)
+                for i, (kind, pack, groups, fused, chained) in enumerate(passes)
+            )
+        return tuple(
+            Placement(kind, pack, gpu, groups, fused, chained)
+            for gpu in range(self.n_gpus)
+            for kind, pack, groups, fused, chained in passes
+        )
+
+    def _groups(self, samples: int, u: int) -> tuple[tuple[int, ...], ...]:
+        """Microbatch groups of one pass: a single grouped task normally;
+        one singleton task per microbatch when input-batch grouping is
+        ablated."""
+        sizes = microbatch_group(samples, u)
+        if self.options.grouping:
+            return (sizes,)
+        return tuple((size,) for size in sizes)
+
+    def _dp_share(self) -> int:
+        if self.minibatch % self.n_gpus != 0:
+            raise SchedulingError(
+                f"DP needs the minibatch ({self.minibatch}) divisible by the "
+                f"GPU count ({self.n_gpus})"
+            )
+        return self.minibatch // self.n_gpus
 
     # -- shared emission helpers -------------------------------------------------
 
@@ -138,37 +207,25 @@ class HarmonyGraphBuilder:
         """Channel for adjacent-task activations (p2p unless ablated)."""
         return Channel.P2P if self.options.p2p else Channel.MSG
 
-    def _emit_pass(
-        self,
-        graph: TaskGraph,
-        kind: TaskKind,
-        pack: Pack,
-        device: int,
-        total_samples: int,
-        u: int,
-        label: str,
-        fused: bool = False,
-    ) -> list[Task]:
-        """Create the task(s) running ``pack`` over ``total_samples``.
-
-        One grouped task normally; one singleton task per microbatch when
-        input-batch grouping is ablated.
-        """
-        sizes = microbatch_group(total_samples, u)
-        groups = [sizes] if self.options.grouping else [(s,) for s in sizes]
-        tasks = []
-        for group in groups:
-            tasks.append(graph.add(Task(
+    def _emit_pass(self, graph: TaskGraph, placement: Placement,
+                   suffix: str = "") -> list[Task]:
+        """Create the task(s) of one placement, one per microbatch group."""
+        kind, pack = placement.kind, placement.pack
+        prefix = "F" if kind is TaskKind.FWD else (
+            "FB" if placement.fused else "B")
+        return [
+            graph.add(Task(
                 tid=len(graph.tasks),
                 kind=kind,
                 first_layer=pack.first,
                 last_layer=pack.last,
-                device=device,
+                device=placement.device,
                 microbatches=group,
-                fused=fused,
-                label=label,
-            )))
-        return tasks
+                fused=placement.fused,
+                label=f"{prefix}{pack}{suffix}",
+            ))
+            for group in placement.groups
+        ]
 
     def _link_chain(
         self,
@@ -212,113 +269,82 @@ class HarmonyGraphBuilder:
     # -- Harmony PP --------------------------------------------------------------
 
     def _build_pp(self, config: Configuration) -> TaskGraph:
-        opts = self.options
         graph = TaskGraph(mode="harmony-pp", n_devices=self.n_gpus)
-        self._graph = graph
-
-        fuse_last = opts.jit and config.jit_compute_aligned
-        fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
-        bwd_packs = list(config.packs_b)
-        bwd_starts = {pack.first for pack in bwd_packs}
-
-        wrap = 0  # wrap-around device index, advances once per pack
+        bwd_starts = {pack.first for pack in config.packs_b}
         stash_by_boundary: dict[int, _Producers] = {}
         prev_act: Optional[_Producers] = None
-
-        for pack in fwd_packs:
-            tasks = self._emit_pass(
-                graph, TaskKind.FWD, pack, wrap % self.n_gpus,
-                self.minibatch, config.u_f, f"F{pack}",
-            )
-            wrap += 1
-            self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
-                                   chain_channel=self._act_channel())
-            for boundary in self._stash_boundaries(pack, bwd_starts):
-                stash_by_boundary[boundary] = self._as_producers(tasks)
-            prev_act = self._as_producers(tasks)
-
         prev_bwd: Optional[_Producers] = None
-        update_specs: list[tuple[Pack, int, int]] = []  # (pack, src_bwd, device)
-        for pos, pack in enumerate(reversed(bwd_packs)):
-            fused = fuse_last and pos == 0
-            tasks = self._emit_pass(
-                graph, TaskKind.BWD, pack, wrap % self.n_gpus,
-                self.minibatch, config.u_b, ("FB" if fused else "B") + str(pack),
-                fused=fused,
-            )
-            wrap += 1
+        late_updates: list[tuple[Pack, int, int]] = []  # (pack, src_bwd, device)
+
+        for placement in self.placements(config):
+            pack = placement.pack
+            tasks = self._emit_pass(graph, placement)
+            if placement.kind is TaskKind.FWD:
+                self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
+                                       chain_channel=self._act_channel())
+                for boundary in self._stash_boundaries(pack, bwd_starts):
+                    stash_by_boundary[boundary] = self._as_producers(tasks)
+                prev_act = self._as_producers(tasks)
+                continue
             self._attach_bwd_moves(
-                tasks, pack, fused, prev_act, prev_bwd, stash_by_boundary,
-                chain_channel=self._act_channel(),
+                tasks, pack, placement.fused, prev_act, prev_bwd,
+                stash_by_boundary, chain_channel=self._act_channel(),
             )
             prev_bwd = self._as_producers(tasks)
-            update_specs.append((pack, tasks[-1].tid, tasks[-1].device))
-            if opts.jit:
+            if self.options.jit:
                 self._add_update_task(graph, pack, src_bwd=tasks[-1].tid,
                                       device=tasks[-1].device)
-        if not opts.jit:
-            for pack, src_bwd, device in update_specs:
-                self._add_update_task(graph, pack, src_bwd=src_bwd, device=device)
+            else:
+                late_updates.append((pack, tasks[-1].tid, tasks[-1].device))
+        for pack, src_bwd, device in late_updates:
+            self._add_update_task(graph, pack, src_bwd=src_bwd, device=device)
         graph.validate()
         return graph
 
     # -- Harmony DP --------------------------------------------------------------
 
     def _build_dp(self, config: Configuration) -> TaskGraph:
-        opts = self.options
-        if self.minibatch % self.n_gpus != 0:
-            raise SchedulingError(
-                f"DP needs the minibatch ({self.minibatch}) divisible by the "
-                f"GPU count ({self.n_gpus})"
-            )
-        share = self.minibatch // self.n_gpus
+        share = self._dp_share()
         graph = TaskGraph(mode="harmony-dp", n_devices=self.n_gpus)
-        self._graph = graph
+        bwd_starts = {pack.first for pack in config.packs_b}
+        budget = int(self.profiles.gpu.memory_bytes
+                     * self.options.resident_boundary_frac)
 
-        fuse_last = opts.jit and config.jit_compute_aligned
-        fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
-        bwd_packs = list(config.packs_b)
-        bwd_starts = {pack.first for pack in bwd_packs}
-        budget = int(self.profiles.gpu.memory_bytes * opts.resident_boundary_frac)
-
-        bwd_tail: dict[tuple[int, int], list[int]] = {}  # (gpu, pack pos) -> tid
-        for gpu in range(self.n_gpus):
+        # Per GPU, the last task of each backward pass, in pass order.
+        bwd_tails: list[list[int]] = [[] for _ in range(self.n_gpus)]
+        for gpu, passes in groupby(self.placements(config),
+                                   key=lambda placement: placement.device):
             stash_by_boundary: dict[int, _Producers] = {}
             prev_act: Optional[_Producers] = None
-            prev_spilled = False
-            for pack in fwd_packs:
-                spill = self.profiles.boundary_out_bytes(pack, 1) * share > budget
-                tasks = self._emit_pass(
-                    graph, TaskKind.FWD, pack, gpu, share, config.u_f,
-                    f"F{pack}@g{gpu}",
-                )
-                chain = Channel.MSG if prev_spilled else Channel.LOCAL
-                self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
-                                       chain_channel=chain)
-                for boundary in self._stash_boundaries(pack, bwd_starts):
-                    stash_by_boundary[boundary] = self._as_producers(tasks)
-                prev_act = self._as_producers(tasks)
-                prev_spilled = spill
-
             prev_bwd: Optional[_Producers] = None
-            for pos, pack in enumerate(reversed(bwd_packs)):
-                fused = fuse_last and pos == 0
-                tasks = self._emit_pass(
-                    graph, TaskKind.BWD, pack, gpu, share, config.u_b,
-                    ("FB" if fused else "B") + f"{pack}@g{gpu}",
-                    fused=fused,
-                )
+            prev_spilled = False
+            for placement in passes:
+                pack = placement.pack
+                tasks = self._emit_pass(graph, placement, f"@g{gpu}")
+                if placement.kind is TaskKind.FWD:
+                    chain = Channel.MSG if prev_spilled else Channel.LOCAL
+                    self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
+                                           chain_channel=chain)
+                    for boundary in self._stash_boundaries(pack, bwd_starts):
+                        stash_by_boundary[boundary] = self._as_producers(tasks)
+                    prev_act = self._as_producers(tasks)
+                    prev_spilled = (
+                        self.profiles.boundary_out_bytes(pack, 1) * share
+                        > budget
+                    )
+                    continue
                 fused_chain = Channel.MSG if prev_spilled else Channel.LOCAL
                 self._attach_bwd_moves(
-                    tasks, pack, fused, prev_act, prev_bwd, stash_by_boundary,
-                    chain_channel=Channel.LOCAL, fused_channel=fused_chain,
+                    tasks, pack, placement.fused, prev_act, prev_bwd,
+                    stash_by_boundary, chain_channel=Channel.LOCAL,
+                    fused_channel=fused_chain,
                 )
                 prev_bwd = self._as_producers(tasks)
-                bwd_tail[(gpu, pos)] = tasks[-1].tid
+                bwd_tails[gpu].append(tasks[-1].tid)
 
         # One (reduced) weight update per pack, spread across runtimes.
-        for pos, pack in enumerate(reversed(bwd_packs)):
-            deps = [bwd_tail[(g, pos)] for g in range(self.n_gpus)]
+        for pos, pack in enumerate(reversed(config.packs_b)):
+            deps = [tails[pos] for tails in bwd_tails]
             self._add_update_task(
                 graph, pack, src_bwd=deps[-1], device=pos % self.n_gpus,
                 extra_deps=deps[:-1],

@@ -29,16 +29,16 @@ def build(profiles, config, mode="pp", n_gpus=2, minibatch=8, **kwargs):
 
 class TestMbDependency:
     def test_equal_sizes_identity(self):
-        assert mb_dependency((2, 2, 2), (2, 2, 2)) == [0, 1, 2]
+        assert mb_dependency((2, 2, 2), (2, 2, 2)) == (0, 1, 2)
 
     def test_coarse_to_fine(self):
-        assert mb_dependency((4, 4), (2, 2, 2, 2)) == [0, 0, 1, 1]
+        assert mb_dependency((4, 4), (2, 2, 2, 2)) == (0, 0, 1, 1)
 
     def test_fine_to_coarse(self):
-        assert mb_dependency((2, 2, 2, 2), (4, 4)) == [1, 3]
+        assert mb_dependency((2, 2, 2, 2), (4, 4)) == (1, 3)
 
     def test_ragged(self):
-        assert mb_dependency((3, 3, 2), (4, 4)) == [1, 2]
+        assert mb_dependency((3, 3, 2), (4, 4)) == (1, 2)
 
     def test_mismatch_rejected(self):
         with pytest.raises(SchedulingError):

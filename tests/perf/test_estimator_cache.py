@@ -6,7 +6,7 @@ profiles' ``cache_token``: mutating a layer profile through
 :meth:`ModelProfiles.replace_layer` (or calling ``invalidate_caches``)
 bumps the token and must flush every cached task time.  These tests
 mutate profiles mid-flight and check the estimator tracks reality, plus
-cover the per-graph ``_producer_sizes_cache`` lifecycle and the
+cover reuse of one estimator across graphs and the
 ``REPRO_PERF_DISABLE=1`` arm.
 """
 
@@ -105,18 +105,27 @@ def test_update_time_gpu_cached_cpu_not():
     assert estimator.update_time(upd, planned.server.n_gpus) == first
 
 
-def test_producer_sizes_cache_is_per_graph(planned):
-    """``estimate_graph`` populates the producer-size map for its graph
-    and clears it afterwards, so one graph's granularities can never
-    leak into another's chunk-dependency resolution."""
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
-    assert estimator._producer_sizes == {}
-    estimator.estimate_graph(planned.graph)
-    assert estimator._producer_sizes == {}
-    estimator.prepare(planned.graph)
-    assert set(estimator._producer_sizes) == {
-        t.tid for t in planned.graph.tasks
-    }
+def test_one_estimator_matches_fresh_per_graph():
+    """Producer microbatch sizes come from the graph being estimated, so
+    one estimator scoring two graphs of different granularities returns
+    each graph's fresh-estimator value, in either order."""
+    harmony = Harmony("toy-transformer", server_for(2), 8,
+                      options=HarmonyOptions(mode="pp"))
+    planned = harmony.plan()
+    search = planned.search
+    graphs = [
+        harmony.plan(config=config).graph
+        for config in (search.best, replace(search.best, u_f=1, u_b=8))
+    ]
+    fresh = [
+        RuntimeEstimator(planned.profiles, planned.server).estimate_graph(g)
+        for g in graphs
+    ]
+    assert fresh[0] != fresh[1]
+    shared = RuntimeEstimator(planned.profiles, planned.server)
+    for graph, expected in [*zip(graphs, fresh), *zip(graphs[::-1],
+                                                      fresh[::-1])]:
+        assert shared.estimate_graph(graph).hex() == expected.hex()
 
 
 def test_estimates_track_profile_mutation_end_to_end(planned):
